@@ -98,14 +98,17 @@ struct WorkloadMix
  *   scale    = 16            # 1/N platform scale
  *   sched    = roundrobin    # roundrobin | priority
  *   seed     = 42
- *   isolated = 1             # compute per-job isolated baselines
+ *   isolated = 1             # 0 | 1: compute per-job isolated baselines
  *   gpu_mem_gb / host_mem_gb / ssd_gbps / pcie_gbps = <platform knobs>
  *
- *   # one line per job: "job = <Model> key=value ..."
+ *   # one line per job: "job = <Model> key=value ..." (batch >= 1)
  *   job = ResNet152 batch=512 design=g10 priority=1 arrival_ms=0
  *   job = BERT batch=128 design=g10 priority=2 iterations=2 weight=1.5
  */
 WorkloadMix parseMixFile(const std::string& path);
+
+/** The keys a mix file accepts. */
+const std::vector<std::string>& mixFileKeys();
 
 }  // namespace g10
 

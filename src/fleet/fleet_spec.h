@@ -77,80 +77,24 @@ struct FleetNodeSpec
     std::vector<ModelKind> families;
 };
 
-/** Everything one fleet experiment needs. */
-struct FleetSpec
+/**
+ * Everything one fleet experiment needs. The shared scenario fields
+ * are the fleet-level node defaults (slots and queue are overridable
+ * per node) and the shared arrival stream; `requests` are offered to
+ * the whole fleet.
+ */
+struct FleetSpec : ServeScenario
 {
-    /** Fleet-default platform before scaling (Table 2 defaults). */
-    SystemConfig sys;
-
-    /** Divide batches and capacities by this factor (1 = paper scale). */
-    unsigned scaleDown = 16;
-
-    /** Base RNG seed: the shared arrival stream draws from it, and
-     *  every node's ServeSpec seed is split from it (fleetNodeSeed). */
-    std::uint64_t seed = 42;
-
-    // Fleet-level node defaults (each overridable per node).
-    int slots = 2;
-    std::size_t queueCapacity = 8;
-
-    PartitionPolicy partitionPolicy = PartitionPolicy::Static;
-    double resizeHysteresis = 0.25;
-    AdmitPolicy admit = AdmitPolicy::Fifo;
-    TimeNs starvationNs = 500 * MSEC;
-    double sloFactor = 3.0;
-
-    /** Requests offered to the whole fleet. */
-    int requests = 24;
-
-    /** Shared arrival process (poisson | bursty; trace arrivals are
-     *  a per-node concept and rejected by the parser). */
-    ArrivalSpec arrival;
+    FleetSpec() { requests = 24; }
 
     /** Fleet-wide offered arrival rate in requests/second. */
     double rate = 1.0;
-
-    /**
-     * `rate = auto`: instead of evaluating one hand-guessed rate,
-     * bisect per placement for the fleet's sustained-throughput knee
-     * — grow the offered rate geometrically until some node's queue
-     * overflows, then bisect the bracket. Probes share one plan cache
-     * and one probe cache across all nodes and placements, and run
-     * through the same speculative scheduler as the serve sweep.
-     */
-    bool ratesAuto = false;
-
-    /** First probe rate of the auto search; 0 = 0.05 req/s. */
-    double rateLo = 0.0;
-
-    /** Optional auto-search ceiling; 0 = unbounded (probe-limited). */
-    double rateHi = 0.0;
-
-    /** Max probes per placement in auto mode. */
-    int rateProbes = 10;
-
-    /** Speculative parallel knee probes (`speculate = on|off`); pure
-     *  wall-clock, byte-identical results either way. */
-    bool speculativeProbes = true;
-
-    /** The auto search's actual first probe rate: rateLo, defaulted,
-     *  and clamped under the rateHi ceiling when one is set. */
-    double resolvedRateLo() const
-    {
-        double lo = rateLo > 0.0 ? rateLo : 0.05;
-        if (rateHi > 0.0 && lo > rateHi)
-            lo = rateHi;
-        return lo;
-    }
 
     /** The design every node runs (registry name). */
     std::string design = "g10";
 
     /** Sweep axis: placement policies to route the same stream by. */
     std::vector<PlacementKind> placements;
-
-    /** Job classes of the shared arrival mix. */
-    std::vector<ServeJobClass> classes;
 
     /** The nodes. */
     std::vector<FleetNodeSpec> nodes;
@@ -163,6 +107,9 @@ struct FleetSpec
      *  from the fleet seed — independent of every other node. */
     ServeSpec nodeServeSpec(std::size_t i) const;
 };
+
+/** The keys a fleet file accepts. */
+const std::vector<std::string>& fleetFileKeys();
 
 /**
  * Node @p node's RNG seed, split from the fleet seed with a splitmix64

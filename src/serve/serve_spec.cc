@@ -1,111 +1,19 @@
 #include "serve_spec.h"
 
-#include <fstream>
-#include <set>
-#include <sstream>
+#include <climits>
 
 #include "common/logging.h"
-#include "common/parse_util.h"
+#include "common/spec_reader.h"
 #include "policies/registry.h"
 
 namespace g10 {
 
 namespace {
 
-/** Parse an integer; fatal with location on malformed input. */
-long long
-parseInt(const std::string& v, const std::string& path, std::size_t line,
-         const std::string& key)
-{
-    long long out = 0;
-    if (!parseIntStrict(v, &out))
-        fatal("%s:%zu: '%s' needs an integer, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Parse a double; fatal with location on malformed input. */
-double
-parseDouble(const std::string& v, const std::string& path,
-            std::size_t line, const std::string& key)
-{
-    double out = 0.0;
-    if (!parseDoubleStrict(v, &out))
-        fatal("%s:%zu: '%s' needs a number, got '%s'", path.c_str(),
-              line, key.c_str(), v.c_str());
-    return out;
-}
-
-/** Split a comma list ("a,b,c"); empty items are malformed. */
-std::vector<std::string>
-splitCommaList(const std::string& v, const std::string& path,
-               std::size_t line, const std::string& key)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::stringstream ss(v);
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            fatal("%s:%zu: '%s' has an empty list item", path.c_str(),
-                  line, key.c_str());
-        out.push_back(item);
-    }
-    if (out.empty() || v.back() == ',')
-        fatal("%s:%zu: '%s' needs a comma-separated list", path.c_str(),
-              line, key.c_str());
-    return out;
-}
-
-/** Parse one "class = <Model> k=v ..." payload. */
+/** Fill in a class's defaults: the paper batch and "<model>-<batch>". */
 ServeJobClass
-parseClassLine(const std::string& payload, const std::string& path,
-               std::size_t line)
+resolvedClass(ServeJobClass cls)
 {
-    std::stringstream ss(payload);
-    std::string model_name;
-    if (!(ss >> model_name))
-        fatal("%s:%zu: 'class =' needs at least a model name",
-              path.c_str(), line);
-
-    ServeJobClass cls;
-    cls.model = modelKindFromName(model_name);
-    std::string tok;
-    while (ss >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-            fatal("%s:%zu: class attribute '%s' is not key=value",
-                  path.c_str(), line, tok.c_str());
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        if (key == "batch") {
-            cls.batchSize =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.batchSize < 1)
-                fatal("%s:%zu: batch must be >= 1", path.c_str(), line);
-        } else if (key == "iterations") {
-            cls.iterations =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.iterations < 1)
-                fatal("%s:%zu: iterations must be >= 1", path.c_str(),
-                      line);
-        } else if (key == "priority") {
-            cls.priority =
-                static_cast<int>(parseInt(val, path, line, key));
-            if (cls.priority < 1 || cls.priority > 1000)
-                fatal("%s:%zu: priority must be in [1, 1000]",
-                      path.c_str(), line);
-        } else if (key == "weight") {
-            cls.weight = parseDouble(val, path, line, key);
-            if (cls.weight <= 0.0)
-                fatal("%s:%zu: weight must be > 0", path.c_str(), line);
-        } else if (key == "name") {
-            cls.name = val;
-        } else {
-            fatal("%s:%zu: unknown class attribute '%s' (expected "
-                  "batch, iterations, priority, weight, name)",
-                  path.c_str(), line, key.c_str());
-        }
-    }
     if (cls.batchSize <= 0)
         cls.batchSize = paperBatchSize(cls.model);
     if (cls.name.empty())
@@ -114,7 +22,180 @@ parseClassLine(const std::string& payload, const std::string& path,
     return cls;
 }
 
+const SpecKey<ServeJobClass> kClassAttributes[] = {
+    {"batch",
+     [](const SpecEntry& e, ServeJobClass* c) {
+         c->batchSize = static_cast<int>(e.integer(1, INT_MAX));
+     }},
+    {"iterations",
+     [](const SpecEntry& e, ServeJobClass* c) {
+         c->iterations = static_cast<int>(e.integer(1, INT_MAX));
+     }},
+    {"priority",
+     [](const SpecEntry& e, ServeJobClass* c) {
+         c->priority = static_cast<int>(e.integer(1, 1000));
+     }},
+    {"weight",
+     [](const SpecEntry& e, ServeJobClass* c) {
+         c->weight = e.positive();
+     }},
+    {"name", [](const SpecEntry& e, ServeJobClass* c) { c->name = e.value; }},
+};
+
+/** The keys serve and fleet files share (platform keys aside). */
+const SpecKey<ServeScenario> kScenarioKeys[] = {
+    {"class",
+     [](const SpecEntry& e, ServeScenario* s) {
+         std::vector<std::string> words;
+         auto attrs = e.attributes(1, &words, "at least a model name",
+                                   "class");
+         ServeJobClass cls;
+         cls.model = modelKindFromName(words[0]);
+         applyAttributes(attrs, kClassAttributes, &cls);
+         s->classes.push_back(resolvedClass(cls));
+     }},
+    {"scale",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->scaleDown = static_cast<unsigned>(e.integer(1, UINT_MAX));
+     }},
+    {"seed",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->seed = static_cast<std::uint64_t>(e.integer());
+     }},
+    {"slots",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->slots = static_cast<int>(e.integer(1, INT_MAX));
+     }},
+    {"queue",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->queueCapacity = static_cast<std::size_t>(e.integer(0));
+     }},
+    {"partition_policy",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->partitionPolicy = e.named(partitionPolicyFromName,
+                                      "static | proportional | ondemand");
+     }},
+    {"resize_hysteresis",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->resizeHysteresis = e.number();
+         if (s->resizeHysteresis < 0.0 || s->resizeHysteresis >= 1.0)
+             e.fail("resize_hysteresis must be in [0, 1), got %g",
+                    s->resizeHysteresis);
+     }},
+    {"admission",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->admit = e.named(admitPolicyFromName, "fifo | sjf | priority");
+     }},
+    {"starvation_ms",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->starvationNs = e.millis(-kMaxSpecMillis);
+     }},
+    {"slo_factor",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->sloFactor = e.positive();
+     }},
+    {"requests",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->requests = static_cast<int>(e.integer(1, INT_MAX));
+     }},
+    {"arrival",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->arrival.kind =
+             e.named(arrivalKindFromName, "poisson | bursty | trace");
+     }},
+    {"burst_on_ms",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->arrival.burstOnSec = e.positive() / 1e3;
+     }},
+    {"burst_off_ms",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->arrival.burstOffSec = e.number(0.0) / 1e3;
+     }},
+    {"rate_lo",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->rateLo = e.positive();
+     }},
+    {"rate_hi",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->rateHi = e.positive();
+     }},
+    {"rate_probes",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->rateProbes = static_cast<int>(e.integer(2, INT_MAX));
+     }},
+    {"speculate",
+     [](const SpecEntry& e, ServeScenario* s) {
+         s->speculativeProbes = e.onOff();
+     }},
+};
+
+/** The keys only serve files accept. */
+const SpecKey<ServeSpec> kServeKeys[] = {
+    {"max_active",
+     [](const SpecEntry& e, ServeSpec* s) {
+         s->maxActive = static_cast<int>(e.integer(0, INT_MAX));
+     }},
+    {"trace",
+     [](const SpecEntry& e, ServeSpec* s) {
+         s->arrival.tracePath = e.value;
+     }},
+    {"rates",
+     [](const SpecEntry& e, ServeSpec* s) {
+         if (e.value == "auto") {
+             s->ratesAuto = true;
+             return;
+         }
+         for (const SpecEntry& item : e.list())
+             s->rates.push_back(item.positive());
+     }},
+    {"sweep_cache",
+     [](const SpecEntry& e, ServeSpec* s) {
+         s->sweepPlanCache = e.onOff();
+     }},
+    {"designs",
+     [](const SpecEntry& e, ServeSpec* s) {
+         for (const SpecEntry& item : e.list()) {
+             if (!PolicyRegistry::instance().contains(item.value))
+                 item.fail("unknown design '%s' (registered: %s)",
+                           item.value.c_str(),
+                           PolicyRegistry::instance().knownNames().c_str());
+             s->designs.push_back(item.value);
+         }
+     }},
+};
+
 }  // namespace
+
+bool
+applyScenarioKey(const SpecEntry& entry, ServeScenario* out)
+{
+    return applySpecKey(kScenarioKeys, entry, out) ||
+           applyPlatformKey(entry, &out->sys);
+}
+
+const std::vector<std::string>&
+scenarioKeyNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        appendKeyNames(kScenarioKeys, &out);
+        for (const std::string& k : platformKeyNames())
+            out.push_back(k);
+        return out;
+    }();
+    return names;
+}
+
+const std::vector<std::string>&
+serveFileKeys()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out = scenarioKeyNames();
+        appendKeyNames(kServeKeys, &out);
+        return out;
+    }();
+    return names;
+}
 
 const char*
 partitionPolicyName(PartitionPolicy policy)
@@ -147,212 +228,11 @@ partitionPolicyFromName(const std::string& name, PartitionPolicy* out)
 ServeSpec
 parseServeFile(const std::string& path)
 {
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open serve file '%s'", path.c_str());
-
+    SpecReader in(path, "serve file", serveFileKeys(), {"class"});
     ServeSpec spec;
-    spec.rates.clear();
-    spec.designs.clear();
-
-    std::set<std::string> seen;  // scalar keys may not repeat
-    std::string line;
-    std::size_t lineno = 0;
-    bool have_trace_path = false;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-
-        std::stringstream ss(line);
-        std::string key, eq;
-        if (!(ss >> key))
-            continue;  // blank / comment-only line
-        if (!(ss >> eq) || eq != "=")
-            fatal("%s:%zu: expected 'key = value'", path.c_str(),
-                  lineno);
-
-        if (key == "class") {
-            std::string payload;
-            std::getline(ss, payload);
-            spec.classes.push_back(
-                parseClassLine(payload, path, lineno));
-            continue;
-        }
-
-        std::string value, extra;
-        if (!(ss >> value))
-            fatal("%s:%zu: '%s =' is missing a value", path.c_str(),
-                  lineno, key.c_str());
-        if (ss >> extra)
-            fatal("%s:%zu: trailing garbage '%s' after value",
-                  path.c_str(), lineno, extra.c_str());
-        if (!seen.insert(key).second)
-            fatal("%s:%zu: duplicate key '%s'", path.c_str(), lineno,
-                  key.c_str());
-
-        if (key == "scale") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: scale must be >= 1", path.c_str(),
-                      lineno);
-            spec.scaleDown = static_cast<unsigned>(v);
-        } else if (key == "seed") {
-            spec.seed = static_cast<std::uint64_t>(
-                parseInt(value, path, lineno, key));
-        } else if (key == "slots") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: slots must be >= 1", path.c_str(),
-                      lineno);
-            spec.slots = static_cast<int>(v);
-        } else if (key == "queue") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 0)
-                fatal("%s:%zu: queue must be >= 0", path.c_str(),
-                      lineno);
-            spec.queueCapacity = static_cast<std::size_t>(v);
-        } else if (key == "admission") {
-            if (!admitPolicyFromName(value, &spec.admit))
-                fatal("%s:%zu: unknown admission '%s' (fifo | sjf | "
-                      "priority)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "starvation_ms") {
-            spec.starvationNs = static_cast<TimeNs>(
-                parseDouble(value, path, lineno, key) *
-                static_cast<double>(MSEC));
-        } else if (key == "slo_factor") {
-            spec.sloFactor = parseDouble(value, path, lineno, key);
-            if (spec.sloFactor <= 0.0)
-                fatal("%s:%zu: slo_factor must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "requests") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 1)
-                fatal("%s:%zu: requests must be >= 1", path.c_str(),
-                      lineno);
-            spec.requests = static_cast<int>(v);
-        } else if (key == "arrival") {
-            if (!arrivalKindFromName(value, &spec.arrival.kind))
-                fatal("%s:%zu: unknown arrival '%s' (poisson | bursty "
-                      "| trace)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "burst_on_ms") {
-            spec.arrival.burstOnSec =
-                parseDouble(value, path, lineno, key) / 1e3;
-            if (spec.arrival.burstOnSec <= 0.0)
-                fatal("%s:%zu: burst_on_ms must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "burst_off_ms") {
-            spec.arrival.burstOffSec =
-                parseDouble(value, path, lineno, key) / 1e3;
-            if (spec.arrival.burstOffSec < 0.0)
-                fatal("%s:%zu: burst_off_ms must be >= 0", path.c_str(),
-                      lineno);
-        } else if (key == "trace") {
-            spec.arrival.tracePath = value;
-            have_trace_path = true;
-        } else if (key == "partition_policy") {
-            if (!partitionPolicyFromName(value, &spec.partitionPolicy))
-                fatal("%s:%zu: unknown partition_policy '%s' (static "
-                      "| proportional | ondemand)",
-                      path.c_str(), lineno, value.c_str());
-        } else if (key == "resize_hysteresis") {
-            spec.resizeHysteresis =
-                parseDouble(value, path, lineno, key);
-            if (spec.resizeHysteresis < 0.0 ||
-                spec.resizeHysteresis >= 1.0)
-                fatal("%s:%zu: resize_hysteresis must be in [0, 1)",
-                      path.c_str(), lineno);
-        } else if (key == "max_active") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 0)
-                fatal("%s:%zu: max_active must be >= 0 (0 = derive)",
-                      path.c_str(), lineno);
-            spec.maxActive = static_cast<int>(v);
-        } else if (key == "rates") {
-            if (value == "auto") {
-                spec.ratesAuto = true;
-            } else {
-                for (const std::string& item :
-                     splitCommaList(value, path, lineno, key)) {
-                    double r = parseDouble(item, path, lineno, key);
-                    if (r <= 0.0)
-                        fatal("%s:%zu: rates must be > 0",
-                              path.c_str(), lineno);
-                    spec.rates.push_back(r);
-                }
-            }
-        } else if (key == "rate_lo") {
-            spec.rateLo = parseDouble(value, path, lineno, key);
-            if (spec.rateLo <= 0.0)
-                fatal("%s:%zu: rate_lo must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate_hi") {
-            spec.rateHi = parseDouble(value, path, lineno, key);
-            if (spec.rateHi <= 0.0)
-                fatal("%s:%zu: rate_hi must be > 0", path.c_str(),
-                      lineno);
-        } else if (key == "rate_probes") {
-            long long v = parseInt(value, path, lineno, key);
-            if (v < 2)
-                fatal("%s:%zu: rate_probes must be >= 2", path.c_str(),
-                      lineno);
-            spec.rateProbes = static_cast<int>(v);
-        } else if (key == "sweep_cache") {
-            if (value == "on")
-                spec.sweepPlanCache = true;
-            else if (value == "off")
-                spec.sweepPlanCache = false;
-            else
-                fatal("%s:%zu: sweep_cache must be 'on' or 'off'",
-                      path.c_str(), lineno);
-        } else if (key == "speculate") {
-            if (value == "on")
-                spec.speculativeProbes = true;
-            else if (value == "off")
-                spec.speculativeProbes = false;
-            else
-                fatal("%s:%zu: speculate must be 'on' or 'off'",
-                      path.c_str(), lineno);
-        } else if (key == "designs") {
-            for (const std::string& item :
-                 splitCommaList(value, path, lineno, key)) {
-                if (!PolicyRegistry::instance().contains(item))
-                    fatal("%s:%zu: unknown design '%s' (registered: "
-                          "%s)",
-                          path.c_str(), lineno, item.c_str(),
-                          PolicyRegistry::instance()
-                              .knownNames()
-                              .c_str());
-                spec.designs.push_back(item);
-            }
-        } else if (key == "gpu_mem_gb") {
-            double v = parseDouble(value, path, lineno, key);
-            if (v <= 0.0)
-                fatal("%s:%zu: gpu_mem_gb must be > 0", path.c_str(),
-                      lineno);
-            spec.sys.gpuMemBytes = static_cast<Bytes>(v * 1e9);
-        } else if (key == "host_mem_gb") {
-            spec.sys.hostMemBytes = static_cast<Bytes>(
-                parseDouble(value, path, lineno, key) * 1e9);
-        } else if (key == "ssd_gbps") {
-            spec.sys.setSsdBandwidthGBps(
-                parseDouble(value, path, lineno, key));
-        } else if (key == "pcie_gbps") {
-            spec.sys.pcieGBps = parseDouble(value, path, lineno, key);
-        } else {
-            fatal("%s:%zu: unknown key '%s' (expected class, scale, "
-                  "seed, slots, partition_policy, resize_hysteresis, "
-                  "max_active, queue, admission, starvation_ms, "
-                  "slo_factor, requests, arrival, burst_on_ms, "
-                  "burst_off_ms, trace, rates, rate_lo, rate_hi, "
-                  "rate_probes, sweep_cache, speculate, designs, "
-                  "gpu_mem_gb, host_mem_gb, ssd_gbps, pcie_gbps)",
-                  path.c_str(), lineno, key.c_str());
-        }
-    }
+    while (in.next())
+        if (!applySpecKey(kServeKeys, in.entry(), &spec))
+            applyScenarioKey(in.entry(), &spec);
 
     // Cross-key consistency.
     if (spec.rates.empty() && !spec.ratesAuto)
@@ -366,7 +246,7 @@ parseServeFile(const std::string& path)
     if (spec.designs.empty())
         fatal("%s: serve file needs 'designs = ...'", path.c_str());
     if (spec.arrival.kind == ArrivalKind::Trace) {
-        if (!have_trace_path)
+        if (!in.seen("trace"))
             fatal("%s: 'arrival = trace' needs 'trace = <file>'",
                   path.c_str());
         if (!spec.classes.empty())
@@ -379,17 +259,9 @@ parseServeFile(const std::string& path)
     return spec;
 }
 
-ServeSpec
-demoServeSpec(unsigned scale)
+std::vector<ServeJobClass>
+demoServeClasses()
 {
-    ServeSpec spec;
-    spec.scaleDown = scale;
-    spec.slots = 2;
-    spec.queueCapacity = 4;
-    spec.requests = 12;
-    spec.rates = {0.2, 0.6, 1.8};
-    spec.designs = {"baseuvm", "deepum", "g10"};
-
     ServeJobClass big;
     big.model = ModelKind::ResNet152;
     big.batchSize = 512;
@@ -401,13 +273,20 @@ demoServeSpec(unsigned scale)
     ServeJobClass bert;
     bert.model = ModelKind::BertBase;
     bert.weight = 1.0;
-    spec.classes = {big, small, bert};
-    for (ServeJobClass& c : spec.classes) {
-        if (c.batchSize <= 0)
-            c.batchSize = paperBatchSize(c.model);
-        c.name = std::string(modelName(c.model)) + "-" +
-                 std::to_string(c.batchSize);
-    }
+    return {resolvedClass(big), resolvedClass(small), resolvedClass(bert)};
+}
+
+ServeSpec
+demoServeSpec(unsigned scale)
+{
+    ServeSpec spec;
+    spec.scaleDown = scale;
+    spec.slots = 2;
+    spec.queueCapacity = 4;
+    spec.requests = 12;
+    spec.rates = {0.2, 0.6, 1.8};
+    spec.designs = {"baseuvm", "deepum", "g10"};
+    spec.classes = demoServeClasses();
     return spec;
 }
 

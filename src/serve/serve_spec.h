@@ -77,16 +77,25 @@ const char* partitionPolicyName(PartitionPolicy policy);
 bool partitionPolicyFromName(const std::string& name,
                              PartitionPolicy* out);
 
-/** Everything one serving experiment needs. */
-struct ServeSpec
+struct SpecEntry;
+
+/**
+ * The scenario a serving node runs, as serve and fleet files share it:
+ * the platform, partitioning and admission, the SLO, the arrival
+ * process and its job classes, and the auto knee search's bracket.
+ */
+struct ServeScenario
 {
-    /** Platform before scaling (Table 2 defaults). */
+    /** Platform before scaling (Table 2 defaults); a fleet's default
+     *  node platform. */
     SystemConfig sys;
 
     /** Divide batches and capacities by this factor (1 = paper scale). */
     unsigned scaleDown = 16;
 
-    /** Base RNG seed (arrivals, class picks, per-job perturbations). */
+    /** Base RNG seed (arrivals, class picks, per-job perturbations).
+     *  A fleet's shared arrival stream draws from it, and every node's
+     *  ServeSpec seed is split from it (fleetNodeSeed). */
     std::uint64_t seed = 42;
 
     /** Concurrent partition slots (jobs actively sharing the GPU).
@@ -104,24 +113,6 @@ struct ServeSpec
      */
     double resizeHysteresis = 0.25;
 
-    /**
-     * Elastic concurrency cap: most jobs simultaneously holding a
-     * lease. 0 = derive (slots for proportional, 2*slots for
-     * ondemand; static always uses slots).
-     */
-    int maxActive = 0;
-
-    /** The cap after derivation (what the engine actually uses). */
-    int resolvedMaxActive() const
-    {
-        if (partitionPolicy == PartitionPolicy::Static)
-            return slots;
-        if (maxActive > 0)
-            return maxActive;
-        return partitionPolicy == PartitionPolicy::OnDemand ? 2 * slots
-                                                            : slots;
-    }
-
     /** Admission queue bound; arrivals beyond it are rejected. */
     std::size_t queueCapacity = 8;
 
@@ -137,24 +128,20 @@ struct ServeSpec
      */
     double sloFactor = 3.0;
 
-    /** Requests offered per cell (Poisson/Bursty). */
+    /** Requests offered per cell (Poisson/Bursty); a fleet offers
+     *  them to the whole fleet. */
     int requests = 32;
 
+    /** Arrival process (fleets: poisson | bursty only; trace arrivals
+     *  are a per-node concept). */
     ArrivalSpec arrival;
 
     /**
-     * Sweep axis: offered arrival rates in requests/second
-     * (Poisson/Bursty). For trace arrivals each value is a time-scale
-     * multiplier instead: rate 2 replays the trace twice as fast.
-     * Empty iff ratesAuto (capacity-knee bisection).
-     */
-    std::vector<double> rates;
-
-    /**
-     * `rates = auto`: instead of sweeping a hand-guessed rate axis,
-     * bisect per design for the sustained-throughput knee — grow the
-     * probe rate geometrically until the bounded queue overflows,
-     * then bisect the bracket. sustainedRate becomes the knee.
+     * `rates = auto` (fleet: `rate = auto`): instead of sweeping
+     * hand-guessed rates, bisect for the sustained-throughput knee —
+     * grow the probe rate geometrically until a bounded queue
+     * overflows, then bisect the bracket. A serve sweep searches per
+     * design, a fleet per placement; probes share one plan cache.
      */
     bool ratesAuto = false;
 
@@ -164,19 +151,8 @@ struct ServeSpec
     /** Optional auto-search ceiling; 0 = unbounded (probe-limited). */
     double rateHi = 0.0;
 
-    /** Max probes (cells) per design in auto mode. */
+    /** Max probes (cells) per design / placement in auto mode. */
     int rateProbes = 10;
-
-    /**
-     * Memoize G10-family plan compiles across the whole sweep — rate
-     * probes, grid cells, and the unloaded-baseline compiles share
-     * one cache (`sweep_cache = on|off`). Pure wall-clock: results
-     * are bit-identical either way (the compiler is deterministic, so
-     * a cache hit returns exactly the plan a recompile would build),
-     * which is what makes the auto-knee bisection cheap — probe N+1
-     * replays probe N's per-model compile chain from the cache.
-     */
-    bool sweepPlanCache = true;
 
     /**
      * Speculatively evaluate the auto search's possible next probes
@@ -199,12 +175,64 @@ struct ServeSpec
         return lo;
     }
 
-    /** Sweep axis: memory-management designs, by registry name. */
-    std::vector<std::string> designs;
-
-    /** Job classes (Poisson/Bursty; trace files carry their own). */
+    /** Job classes of the arrival mix (Poisson/Bursty; trace files
+     *  carry their own). */
     std::vector<ServeJobClass> classes;
 };
+
+/** Apply @p entry to @p out when its key is one serve and fleet files
+ *  share (the platform keys included); false when it is not one. */
+bool applyScenarioKey(const SpecEntry& entry, ServeScenario* out);
+
+/** The keys applyScenarioKey accepts. */
+const std::vector<std::string>& scenarioKeyNames();
+
+/** Everything one serving experiment needs. */
+struct ServeSpec : ServeScenario
+{
+    /**
+     * Elastic concurrency cap: most jobs simultaneously holding a
+     * lease. 0 = derive (slots for proportional, 2*slots for
+     * ondemand; static always uses slots).
+     */
+    int maxActive = 0;
+
+    /** The cap after derivation (what the engine actually uses). */
+    int resolvedMaxActive() const
+    {
+        if (partitionPolicy == PartitionPolicy::Static)
+            return slots;
+        if (maxActive > 0)
+            return maxActive;
+        return partitionPolicy == PartitionPolicy::OnDemand ? 2 * slots
+                                                            : slots;
+    }
+
+    /**
+     * Sweep axis: offered arrival rates in requests/second
+     * (Poisson/Bursty). For trace arrivals each value is a time-scale
+     * multiplier instead: rate 2 replays the trace twice as fast.
+     * Empty iff ratesAuto (capacity-knee bisection).
+     */
+    std::vector<double> rates;
+
+    /**
+     * Memoize G10-family plan compiles across the whole sweep — rate
+     * probes, grid cells, and the unloaded-baseline compiles share
+     * one cache (`sweep_cache = on|off`). Pure wall-clock: results
+     * are bit-identical either way (the compiler is deterministic, so
+     * a cache hit returns exactly the plan a recompile would build),
+     * which is what makes the auto-knee bisection cheap — probe N+1
+     * replays probe N's per-model compile chain from the cache.
+     */
+    bool sweepPlanCache = true;
+
+    /** Sweep axis: memory-management designs, by registry name. */
+    std::vector<std::string> designs;
+};
+
+/** The keys a serve file accepts. */
+const std::vector<std::string>& serveFileKeys();
 
 /**
  * Parse a serve file. Unknown keys, malformed values, and inconsistent
@@ -243,6 +271,11 @@ struct ServeSpec
  *   class = BERT iterations=2 priority=4
  */
 ServeSpec parseServeFile(const std::string& path);
+
+/** The demo class mix g10serve --demo and g10fleet --demo serve: two
+ *  ResNet152 batch shapes (512 and 256, the latter twice as likely)
+ *  and BERT at its paper batch. */
+std::vector<ServeJobClass> demoServeClasses();
 
 /**
  * The built-in demo scenario (g10serve --demo and the CI smoke run):

@@ -2,14 +2,15 @@
  * @file
  * Shared argv handling for the g10 CLIs: the common flags
  * (--help, --format <f>, --list-designs, and the observability
- * surface --trace/--metrics/--log-level), tool-specific boolean
- * flags, and positional collection — so g10sim and g10multi cannot
- * drift apart.
+ * surface --trace/--metrics/--log-level), tool-specific boolean and
+ * value flags, and positional collection — so the tools cannot drift
+ * apart. Flag values go through the spec files' strict parsers.
  */
 
 #ifndef G10_TOOLS_CLI_UTIL_H
 #define G10_TOOLS_CLI_UTIL_H
 
+#include <climits>
 #include <fstream>
 #include <map>
 #include <set>
@@ -18,10 +19,22 @@
 
 #include "api/report.h"
 #include "common/logging.h"
+#include "common/spec_reader.h"
 #include "obs/chrome_trace.h"
 #include "obs/tracer.h"
 
 namespace g10::tools {
+
+/** A command-line value as a SpecEntry, so it shares the spec files'
+ *  strict parsers; diagnostics name @p flag. */
+inline SpecEntry
+cliEntry(const std::string& flag, const std::string& value)
+{
+    SpecEntry e;
+    e.key = flag;
+    e.value = value;
+    return e;
+}
 
 /** Parsed command line. */
 struct CliArgs
@@ -47,7 +60,12 @@ struct CliArgs
     /** Non-empty when an unknown option was seen (caller prints usage). */
     std::string error;
 
-    bool has(const std::string& flag) const { return flags.count(flag); }
+    /** Whether the boolean or value flag @p flag was given. */
+    bool
+    has(const std::string& flag) const
+    {
+        return flags.count(flag) || values.count(flag);
+    }
 
     /** Value of a value flag; @p def when the flag was not given. */
     std::string
@@ -55,6 +73,23 @@ struct CliArgs
     {
         auto it = values.find(flag);
         return it != values.end() ? it->second : def;
+    }
+
+    /** The value flag @p flag, for the strict parsers. */
+    SpecEntry entry(const std::string& flag) const
+    {
+        return cliEntry(flag, valueOf(flag));
+    }
+
+    /** `--demo [scale]`: the optional positional scale, @p def when
+     *  absent. */
+    unsigned
+    demoScale(unsigned def) const
+    {
+        if (positional.empty())
+            return def;
+        return static_cast<unsigned>(
+            cliEntry("--demo scale", positional[0]).integer(1, UINT_MAX));
     }
 };
 

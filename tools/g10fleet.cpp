@@ -26,13 +26,13 @@
  * --log-level silent|warn|info|debug.
  */
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
 #include "obs/file_trace_sink.h"
 #include "tools/cli_util.h"
 
@@ -108,53 +108,9 @@ main(int argc, char** argv)
 {
     using namespace g10;
 
-    // --workers and --placement are options with a value; peel them
-    // off before the shared parser sees the remaining flags.
-    unsigned workers = 0;  // 0 = one per hardware thread
-    bool have_placement = false;
-    PlacementKind placement = PlacementKind::JoinShortestQueue;
-    bool have_speculate = false;
-    bool speculate = true;
-    std::vector<char*> rest;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--workers") {
-            if (i + 1 >= argc)
-                fatal("--workers needs a value");
-            long long v = 0;
-            if (!parseIntStrict(argv[++i], &v) || v < 1)
-                fatal("--workers must be a positive integer, got '%s'",
-                      argv[i]);
-            workers = static_cast<unsigned>(v);
-        } else if (std::string(argv[i]) == "--placement") {
-            if (i + 1 >= argc)
-                fatal("--placement needs a value (jsq | planaware | "
-                      "affinity)");
-            if (!placementKindFromName(argv[++i], &placement))
-                fatal("unknown --placement '%s' (jsq | planaware | "
-                      "affinity)",
-                      argv[i]);
-            have_placement = true;
-        } else if (std::string(argv[i]) == "--speculate") {
-            if (i + 1 >= argc)
-                fatal("--speculate needs a value (on | off)");
-            std::string v = argv[++i];
-            if (v == "on")
-                speculate = true;
-            else if (v == "off")
-                speculate = false;
-            else
-                fatal("unknown --speculate '%s' (on | off)",
-                      v.c_str());
-            have_speculate = true;
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-
     tools::CliArgs args = tools::parseCliArgs(
-        static_cast<int>(rest.size()), rest.data(),
-        {"--demo", "--forensics"});
+        argc, argv, {"--demo", "--forensics"},
+        {"--workers", "--placement", "--speculate"});
     if (args.help)
         return usage(std::cout, 0);
     if (!args.error.empty()) {
@@ -173,26 +129,23 @@ main(int argc, char** argv)
     if (args.has("--demo")) {
         if (args.positional.size() > 1)
             return usage(std::cerr, 1);
-        unsigned scale = 64;
-        if (args.positional.size() == 1) {
-            long long v = 0;
-            if (!parseIntStrict(args.positional[0], &v) || v < 1)
-                fatal("--demo scale must be a positive integer, got "
-                      "'%s'",
-                      args.positional[0].c_str());
-            scale = static_cast<unsigned>(v);
-        }
-        spec = demoFleetSpec(scale);
+        spec = demoFleetSpec(args.demoScale(64));
     } else {
         if (args.positional.size() != 1)
             return usage(std::cerr, 1);
         spec = parseFleetFile(args.positional[0]);
     }
 
-    if (have_placement)
-        spec.placements = {placement};
-    if (have_speculate)
-        spec.speculativeProbes = speculate;
+    if (args.has("--placement"))
+        spec.placements = {args.entry("--placement").named(
+            placementKindFromName, "jsq | planaware | affinity")};
+    if (args.has("--speculate"))
+        spec.speculativeProbes = args.entry("--speculate").onOff();
+    // 0 = one worker per hardware thread.
+    unsigned workers = 0;
+    if (args.has("--workers"))
+        workers = static_cast<unsigned>(
+            args.entry("--workers").integer(1, UINT_MAX));
 
     if (args.format == ReportFormat::Table) {
         std::cout << "# g10fleet: " << spec.nodes.size() << " nodes x "

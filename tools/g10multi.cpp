@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -106,16 +105,7 @@ main(int argc, char** argv)
     if (args.has("--demo")) {
         if (args.positional.size() > 1)
             return usage(std::cerr, 1);
-        unsigned scale = 16;
-        if (args.positional.size() == 1) {
-            long long v = 0;
-            if (!parseIntStrict(args.positional[0], &v) || v < 1)
-                fatal("--demo scale must be a positive integer, got "
-                      "'%s'",
-                      args.positional[0].c_str());
-            scale = static_cast<unsigned>(v);
-        }
-        mix = demoMix(scale);
+        mix = demoMix(args.demoScale(16));
     } else {
         if (args.positional.size() != 1)
             return usage(std::cerr, 1);

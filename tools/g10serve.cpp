@@ -22,13 +22,13 @@
  * --log-level silent|warn|info|debug.
  */
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -105,67 +105,9 @@ main(int argc, char** argv)
 {
     using namespace g10;
 
-    // --workers, --partition and --sweep-cache are options with a
-    // value; peel them off before the shared parser sees the
-    // remaining flags.
-    unsigned workers = 0;  // 0 = one per hardware thread
-    bool have_partition = false;
-    PartitionPolicy partition = PartitionPolicy::Static;
-    bool have_sweep_cache = false;
-    bool sweep_cache = true;
-    bool have_speculate = false;
-    bool speculate = true;
-    std::vector<char*> rest;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--sweep-cache") {
-            if (i + 1 >= argc)
-                fatal("--sweep-cache needs a value (on | off)");
-            std::string v = argv[++i];
-            if (v == "on")
-                sweep_cache = true;
-            else if (v == "off")
-                sweep_cache = false;
-            else
-                fatal("unknown --sweep-cache '%s' (on | off)",
-                      v.c_str());
-            have_sweep_cache = true;
-        } else if (std::string(argv[i]) == "--speculate") {
-            if (i + 1 >= argc)
-                fatal("--speculate needs a value (on | off)");
-            std::string v = argv[++i];
-            if (v == "on")
-                speculate = true;
-            else if (v == "off")
-                speculate = false;
-            else
-                fatal("unknown --speculate '%s' (on | off)",
-                      v.c_str());
-            have_speculate = true;
-        } else if (std::string(argv[i]) == "--workers") {
-            if (i + 1 >= argc)
-                fatal("--workers needs a value");
-            long long v = 0;
-            if (!parseIntStrict(argv[++i], &v) || v < 1)
-                fatal("--workers must be a positive integer, got '%s'",
-                      argv[i]);
-            workers = static_cast<unsigned>(v);
-        } else if (std::string(argv[i]) == "--partition") {
-            if (i + 1 >= argc)
-                fatal("--partition needs a value (static | "
-                      "proportional | ondemand)");
-            if (!partitionPolicyFromName(argv[++i], &partition))
-                fatal("unknown --partition '%s' (static | "
-                      "proportional | ondemand)",
-                      argv[i]);
-            have_partition = true;
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-
     tools::CliArgs args = tools::parseCliArgs(
-        static_cast<int>(rest.size()), rest.data(), {"--demo"});
+        argc, argv, {"--demo"},
+        {"--workers", "--partition", "--sweep-cache", "--speculate"});
     if (args.help)
         return usage(std::cout, 0);
     if (!args.error.empty()) {
@@ -184,28 +126,25 @@ main(int argc, char** argv)
     if (args.has("--demo")) {
         if (args.positional.size() > 1)
             return usage(std::cerr, 1);
-        unsigned scale = 32;
-        if (args.positional.size() == 1) {
-            long long v = 0;
-            if (!parseIntStrict(args.positional[0], &v) || v < 1)
-                fatal("--demo scale must be a positive integer, got "
-                      "'%s'",
-                      args.positional[0].c_str());
-            scale = static_cast<unsigned>(v);
-        }
-        spec = demoServeSpec(scale);
+        spec = demoServeSpec(args.demoScale(32));
     } else {
         if (args.positional.size() != 1)
             return usage(std::cerr, 1);
         spec = parseServeFile(args.positional[0]);
     }
 
-    if (have_partition)
-        spec.partitionPolicy = partition;
-    if (have_sweep_cache)
-        spec.sweepPlanCache = sweep_cache;
-    if (have_speculate)
-        spec.speculativeProbes = speculate;
+    if (args.has("--partition"))
+        spec.partitionPolicy = args.entry("--partition").named(
+            partitionPolicyFromName, "static | proportional | ondemand");
+    if (args.has("--sweep-cache"))
+        spec.sweepPlanCache = args.entry("--sweep-cache").onOff();
+    if (args.has("--speculate"))
+        spec.speculativeProbes = args.entry("--speculate").onOff();
+    // 0 = one worker per hardware thread.
+    unsigned workers = 0;
+    if (args.has("--workers"))
+        workers = static_cast<unsigned>(
+            args.entry("--workers").integer(1, UINT_MAX));
 
     if (args.format == ReportFormat::Table) {
         std::cout << "# g10serve: " << spec.designs.size()

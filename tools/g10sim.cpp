@@ -35,17 +35,16 @@
  *                      program (G10 designs only)
  */
 
+#include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/g10.h"
-#include "common/parse_util.h"
+#include "common/spec_reader.h"
 #include "graph/trace_io.h"
 #include "obs/analysis/diff_attribution.h"
 #include "obs/attribution.h"
@@ -54,13 +53,6 @@
 namespace {
 
 using namespace g10;
-
-const std::set<std::string> kKnownKeys = {
-    "model",      "trace",       "batch",        "scale",
-    "design",     "iterations",  "timing_error", "seed",
-    "gpu_mem_gb", "host_mem_gb", "ssd_gbps",     "pcie_gbps",
-    "listing",    "weight_watermark",            "uvm_extension",
-};
 
 int
 usage(std::ostream& os, int code)
@@ -104,77 +96,79 @@ usage(std::ostream& os, int code)
     return code;
 }
 
-std::map<std::string, std::string>
-parseConfig(const std::string& path)
+/** A config file as read; the model, batch and platform resolve once
+ *  every key is known (a trace overrides model and batch). */
+struct ConfigFile
 {
-    std::ifstream f(path);
-    if (!f)
-        fatal("cannot open config '%s'", path.c_str());
-    std::map<std::string, std::string> kv;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(f, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::stringstream ss(line);
-        std::string key, eq, value, extra;
-        if (!(ss >> key))
-            continue;
-        if (!(ss >> eq >> value) || eq != "=")
-            fatal("%s:%zu: expected 'key = value'", path.c_str(),
-                  lineno);
-        if (ss >> extra)
-            fatal("%s:%zu: trailing garbage '%s' after value",
-                  path.c_str(), lineno, extra.c_str());
-        if (kKnownKeys.count(key) == 0)
-            fatal("%s:%zu: unknown key '%s' (run 'g10sim --help' for "
-                  "the full list)",
-                  path.c_str(), lineno, key.c_str());
-        if (kv.count(key))
-            fatal("%s:%zu: duplicate key '%s'", path.c_str(), lineno,
-                  key.c_str());
-        kv[key] = value;
-    }
-    return kv;
-}
+    ExperimentConfig cfg;
+    unsigned scale = 16;
+    std::string tracePath;
+    std::string model = "ResNet152";
+    std::optional<SpecEntry> batch;  ///< unset: the model's paper batch
+    SystemConfig platform;           ///< unscaled, with the file's keys
+    int listing = 0;
+};
 
-/** Fetch an integer key with range checking; fatal on bad values. */
-long long
-intKey(const std::map<std::string, std::string>& kv,
-       const std::string& key, long long def, long long lo,
-       long long hi)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return def;
-    long long v = 0;
-    if (!parseIntStrict(it->second, &v))
-        fatal("config key '%s' needs an integer, got '%s'",
-              key.c_str(), it->second.c_str());
-    if (v < lo || v > hi)
-        fatal("config key '%s' must be in [%lld, %lld], got %lld",
-              key.c_str(), lo, hi, v);
-    return v;
-}
+const SpecKey<ConfigFile> kConfigKeys[] = {
+    {"model", [](const SpecEntry& e, ConfigFile* c) { c->model = e.value; }},
+    {"trace",
+     [](const SpecEntry& e, ConfigFile* c) { c->tracePath = e.value; }},
+    {"batch", [](const SpecEntry& e, ConfigFile* c) { c->batch = e; }},
+    {"scale",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->scale = static_cast<unsigned>(e.integer(1, 1 << 20));
+     }},
+    {"design",
+     [](const SpecEntry& e, ConfigFile* c) { c->cfg.design = e.value; }},
+    {"iterations",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->cfg.iterations = static_cast<int>(e.integer(1, 1000));
+     }},
+    {"timing_error",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->cfg.timingErrorPct = e.number(0.0, 1.0);
+     }},
+    {"seed",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->cfg.seed = static_cast<std::uint64_t>(e.integer(0, INT64_MAX));
+     }},
+    {"weight_watermark",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->cfg.weightWatermark = e.number(0.01, 1.0);
+     }},
+    {"uvm_extension",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->cfg.uvmExtension = static_cast<int>(e.integer(0, 1));
+     }},
+    {"listing",
+     [](const SpecEntry& e, ConfigFile* c) {
+         c->listing = static_cast<int>(e.integer(0, 1 << 20));
+     }},
+};
 
-/** Fetch a double key with range checking; fatal on bad values. */
-double
-doubleKey(const std::map<std::string, std::string>& kv,
-          const std::string& key, double def, double lo, double hi)
+/** Read a config file; fatal with path:line on any malformed entry. */
+ConfigFile
+readConfig(const std::string& path)
 {
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return def;
-    double v = 0.0;
-    if (!parseDoubleStrict(it->second, &v))
-        fatal("config key '%s' needs a number, got '%s'", key.c_str(),
-              it->second.c_str());
-    if (v < lo || v > hi)
-        fatal("config key '%s' must be in [%g, %g], got %g",
-              key.c_str(), lo, hi, v);
-    return v;
+    std::vector<std::string> keys;
+    appendKeyNames(kConfigKeys, &keys);
+    for (const std::string& k : platformKeyNames())
+        keys.push_back(k);
+    SpecReader in(path, "config", keys);
+    ConfigFile file;
+    while (in.next())
+        if (!applySpecKey(kConfigKeys, in.entry(), &file))
+            applyPlatformKey(in.entry(), &file.platform);
+
+    // Platform capacities are given at the scale the file runs at:
+    // they replace the scaled-down defaults rather than being scaled.
+    SystemConfig sys = file.platform.scaledDown(file.scale);
+    if (in.seen("gpu_mem_gb"))
+        sys.gpuMemBytes = file.platform.gpuMemBytes;
+    if (in.seen("host_mem_gb"))
+        sys.hostMemBytes = file.platform.hostMemBytes;
+    file.cfg.sys = sys;
+    return file;
 }
 
 int
@@ -184,18 +178,10 @@ dumpTrace(const std::vector<std::string>& args)
         fatal("usage: g10sim --dump-trace <model> <batch> <scale> "
               "<out.trace>");
     ModelKind m = modelKindFromName(args[0]);
-    long long batch = 0;
-    long long scale = 0;
-    if (!parseIntStrict(args[1], &batch) || batch < 1 ||
-        batch > (1 << 24))
-        fatal("--dump-trace batch must be an integer in [1, %d], got "
-              "'%s'",
-              1 << 24, args[1].c_str());
-    if (!parseIntStrict(args[2], &scale) || scale < 1 ||
-        scale > (1 << 20))
-        fatal("--dump-trace scale must be an integer in [1, %d], got "
-              "'%s'",
-              1 << 20, args[2].c_str());
+    auto batch = tools::cliEntry("--dump-trace batch", args[1])
+                     .integer(1, 1 << 24);
+    auto scale = tools::cliEntry("--dump-trace scale", args[2])
+                     .integer(1, 1 << 20);
     KernelTrace trace = buildModelScaled(m, static_cast<int>(batch),
                                          static_cast<unsigned>(scale));
     saveTraceFile(args[3], trace);
@@ -238,74 +224,39 @@ int
 runConfig(const std::string& path, const tools::CliArgs& args)
 {
     const ReportFormat format = args.format;
-    auto kv = parseConfig(path);
-
-    auto scale = static_cast<unsigned>(
-        intKey(kv, "scale", 16, 1, 1 << 20));
+    ConfigFile file = readConfig(path);
+    ExperimentConfig& cfg = file.cfg;
 
     KernelTrace trace;
-    ModelKind model = ModelKind::ResNet152;
-    int batch = 0;
-    if (kv.count("trace")) {
-        trace = loadTraceFile(kv["trace"]);
-        batch = trace.batchSize();
+    if (!file.tracePath.empty()) {
+        trace = loadTraceFile(file.tracePath);
+        cfg.batchSize = trace.batchSize();
         // Keep the config echo honest: map the trace's model back to
         // the zoo when possible (synthetic traces stay unmapped).
-        if (!tryModelKindFromName(trace.modelName(), &model))
+        if (!tryModelKindFromName(trace.modelName(), &cfg.model))
             warn("trace model '%s' is not a zoo model; the config echo "
                  "reports %s",
-                 trace.modelName().c_str(), modelName(model));
+                 trace.modelName().c_str(), modelName(cfg.model));
     } else {
-        model = modelKindFromName(
-            kv.count("model") ? kv["model"] : "ResNet152");
-        batch = static_cast<int>(
-            intKey(kv, "batch", paperBatchSize(model), 1, 1 << 24));
-        trace = buildModelScaled(model, batch, scale);
+        cfg.model = modelKindFromName(file.model);
+        cfg.batchSize =
+            file.batch ? static_cast<int>(file.batch->integer(1, 1 << 24))
+                       : paperBatchSize(cfg.model);
+        trace = buildModelScaled(cfg.model, cfg.batchSize, file.scale);
     }
-
-    SystemConfig sys = SystemConfig().scaledDown(scale);
-    if (kv.count("gpu_mem_gb"))
-        sys.gpuMemBytes = static_cast<Bytes>(
-            doubleKey(kv, "gpu_mem_gb", 0, 1e-3, 1e6) * 1e9);
-    // host_mem_gb = 0 is a meaningful platform (Fig. 17's no-host
-    // -staging point), so it keeps a zero lower bound.
-    if (kv.count("host_mem_gb"))
-        sys.hostMemBytes = static_cast<Bytes>(
-            doubleKey(kv, "host_mem_gb", 0, 0, 1e6) * 1e9);
-    if (kv.count("ssd_gbps"))
-        sys.setSsdBandwidthGBps(
-            doubleKey(kv, "ssd_gbps", 0, 1e-3, 1e6));
-    if (kv.count("pcie_gbps"))
-        sys.pcieGBps = doubleKey(kv, "pcie_gbps", 0, 1e-3, 1e6);
-
-    ExperimentConfig cfg;
-    cfg.model = model;
-    cfg.batchSize = batch;
-    cfg.sys = sys;
     cfg.scaleDown = 1;
-    cfg.design = kv.count("design") ? kv["design"] : "g10";
     // Resolve now: unknown names fail with the registered list.
     const PolicyInfo& design =
         PolicyRegistry::instance().resolve(cfg.design);
-    cfg.iterations =
-        static_cast<int>(intKey(kv, "iterations", 2, 1, 1000));
-    cfg.timingErrorPct = doubleKey(kv, "timing_error", 0.0, 0.0, 1.0);
-    cfg.seed = static_cast<std::uint64_t>(
-        intKey(kv, "seed", 42, 0, INT64_MAX));
-    cfg.weightWatermark =
-        doubleKey(kv, "weight_watermark", 0.85, 0.01, 1.0);
-    cfg.uvmExtension =
-        static_cast<int>(intKey(kv, "uvm_extension", -1, 0, 1));
 
-    auto listing = static_cast<int>(intKey(kv, "listing", 0, 0, 1 << 20));
     bool g10Design =
         design.builtinTag == static_cast<int>(DesignPoint::G10) ||
         design.builtinTag == static_cast<int>(DesignPoint::G10Host) ||
         design.builtinTag == static_cast<int>(DesignPoint::G10Gds);
-    if (listing > 0 && g10Design) {
-        CompiledPlan plan = compileG10Plan(trace, sys);
+    if (file.listing > 0 && g10Design) {
+        CompiledPlan plan = compileG10Plan(trace, cfg.sys);
         printInstrumentedProgram(std::cout, *plan.vitality, plan.plan,
-                                 0, listing);
+                                 0, file.listing);
         std::cout << "\n";
     }
 

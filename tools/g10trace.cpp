@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parse_util.h"
 #include "obs/analysis/critical_path.h"
 #include "obs/analysis/diff_attribution.h"
 #include "obs/analysis/flame.h"
@@ -71,14 +70,7 @@ long long
 intValueOf(const tools::CliArgs& args, const std::string& flag,
            long long def, long long lo)
 {
-    const std::string text = args.valueOf(flag);
-    if (text.empty())
-        return def;
-    long long v = 0;
-    if (!parseIntStrict(text, &v) || v < lo)
-        fatal("%s needs an integer >= %lld, got '%s'", flag.c_str(),
-              lo, text.c_str());
-    return v;
+    return args.has(flag) ? args.entry(flag).integer(lo) : def;
 }
 
 TraceDocument
