@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "engine/machine.h"
 #include "engine/partition.h"
 #include "policies/registry.h"
 
@@ -42,105 +43,6 @@ MultiTenantSim::MultiTenantSim(const WorkloadMix& mix,
               traces_.size(), mix_.jobs.size());
 }
 
-namespace {
-
-/** Scheduling weight of job @p spec (1 outside priority mode). */
-std::int64_t
-schedWeight(const JobSpec& spec, MixSched sched)
-{
-    if (sched != MixSched::Priority)
-        return 1;
-    return std::clamp<std::int64_t>(spec.priority, 1, 1000);
-}
-
-}  // namespace
-
-int
-MultiTenantSim::pickNext(
-    const std::vector<std::unique_ptr<SimRuntime>>& rts,
-    const std::vector<bool>& live)
-{
-    // Step the live job that is furthest behind in virtual time.
-    // Round-robin: virtual time is the job's stream clock. Priority:
-    // stride scheduling -- virtual time advances at 1/weight of the
-    // job's clock, so a priority-p job receives ~p times the
-    // interleaving share. Deterministic: ties break toward the lower
-    // job index.
-    //
-    // A job has not arrived until every other tenant's clock reaches
-    // its arrival time; stepping it earlier would let it reserve the
-    // shared GPU/fabric timelines in the future and stall kernels that
-    // are ready now (the GPU would sit modeled-idle over the arrival
-    // gap). The job attaining the minimum clock always satisfies
-    // arrival <= minNow, so the eligible set is never empty.
-    TimeNs minNow = 0;
-    bool haveMin = false;
-    for (std::size_t i = 0; i < rts.size(); ++i) {
-        if (!live[i])
-            continue;
-        if (!haveMin || rts[i]->now() < minNow) {
-            minNow = rts[i]->now();
-            haveMin = true;
-        }
-    }
-
-    // Priority mode: admit newly arrived jobs into the stride queue.
-    // A joiner's virtual time is seeded to the runnable set's current
-    // minimum (CFS-style): it competes from here on at its weighted
-    // share but gets no catch-up credit for the time before it
-    // arrived -- otherwise a late joiner would monopolize the GPU and
-    // starve incumbents until it "caught up".
-    if (mix_.sched == MixSched::Priority) {
-        for (std::size_t i = 0; i < rts.size(); ++i) {
-            if (!live[i] || joined_[i] ||
-                mix_.jobs[i].arrivalNs > minNow)
-                continue;
-            TimeNs min_num = 0;
-            std::int64_t min_w = 1;
-            bool found = false;
-            for (std::size_t j = 0; j < rts.size(); ++j) {
-                if (!live[j] || !joined_[j])
-                    continue;
-                TimeNs num = rts[j]->now() - vtBase_[j];
-                std::int64_t w = schedWeight(mix_.jobs[j], mix_.sched);
-                if (!found || num * min_w < min_num * w) {
-                    min_num = num;
-                    min_w = w;
-                    found = true;
-                }
-            }
-            std::int64_t wi = schedWeight(mix_.jobs[i], mix_.sched);
-            vtBase_[i] = found
-                ? rts[i]->now() - (min_num * wi) / min_w
-                : rts[i]->now();
-            joined_[i] = true;
-        }
-    }
-
-    int best = -1;
-    TimeNs best_num = 0;
-    std::int64_t best_w = 1;
-    for (std::size_t i = 0; i < rts.size(); ++i) {
-        if (!live[i])
-            continue;
-        if (mix_.jobs[i].arrivalNs > minNow)
-            continue;  // not yet arrived relative to the mix's progress
-        std::int64_t w = 1;
-        TimeNs num = rts[i]->now();
-        if (mix_.sched == MixSched::Priority) {
-            w = schedWeight(mix_.jobs[i], mix_.sched);
-            num = rts[i]->now() - vtBase_[i];
-        }
-        // Compare num/w < best_num/best_w without division.
-        if (best < 0 || num * best_w < best_num * w) {
-            best = static_cast<int>(i);
-            best_num = num;
-            best_w = w;
-        }
-    }
-    return best;
-}
-
 MixResult
 MultiTenantSim::run()
 {
@@ -156,13 +58,7 @@ MultiTenantSim::run()
     PartitionManager partitions(scaledSys_, static_cast<int>(n));
     std::vector<PartitionManager::Lease> leases(n);
 
-    SsdDevice sharedSsd(scaledSys_);
-    FabricChannels channels;
-    GpuComputeTimeline gpuTimeline;
-    SharedResources shared;
-    shared.ssd = &sharedSsd;
-    shared.channels = &channels;
-    shared.gpu = &gpuTimeline;
+    Machine machine(scaledSys_, mix_.sched);
 
     std::vector<DesignInstance> designs;
     std::vector<std::unique_ptr<SimRuntime>> rts;
@@ -184,27 +80,17 @@ MultiTenantSim::run()
         rc.seed = mix_.seed + i;
         rc.startNs = spec.arrivalNs;
         rts.push_back(std::make_unique<SimRuntime>(
-            traces_[i], *designs.back().policy, rc, shared));
+            traces_[i], *designs.back().policy, rc, machine.shared()));
         if (tracer_)
             rts.back()->setTracer(tracer_, static_cast<int>(i));
     }
 
-    for (auto& rt : rts)
-        rt->start();
-
-    vtBase_.assign(n, 0);
-    joined_.assign(n, false);
-    std::vector<bool> live(n, true);
-    std::size_t liveCount = n;
-    while (liveCount > 0) {
-        int i = pickNext(rts, live);
-        if (i < 0)
-            panic("multi-tenant scheduler found no live job");
-        if (!rts[static_cast<std::size_t>(i)]->stepKernel()) {
-            live[static_cast<std::size_t>(i)] = false;
-            --liveCount;
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        rts[i]->start();
+        machine.attach(*rts[i], i, mix_.jobs[i].priority);
     }
+    while (!machine.empty())
+        machine.stepNext();
 
     MixResult out;
     out.jobs.resize(n);
@@ -224,11 +110,11 @@ MultiTenantSim::run()
         if (!jr.shared.failed)
             out.aggregateThroughput += jr.shared.throughput();
     }
-    out.gpuBusyNs = gpuTimeline.busyNs;
+    out.gpuBusyNs = machine.gpu().busyNs;
     if (out.makespanNs > 0)
         out.gpuUtilization = static_cast<double>(out.gpuBusyNs) /
                              static_cast<double>(out.makespanNs);
-    out.ssd = sharedSsd.stats();
+    out.ssd = machine.ssd().stats();
 
     // All tenants have departed; return the partitions.
     for (PartitionManager::Lease& l : leases)

@@ -5,12 +5,14 @@
  * PCIe fabric + SSD.
  *
  * Each job keeps its own SimRuntime + Policy (plans are compiled
- * against the job's memory partition), but all jobs reserve bandwidth
- * on one FabricChannels, wear one SsdDevice, and serialize kernels on
- * one GpuComputeTimeline. The engine interleaves jobs at kernel
- * granularity by stepping whichever job is furthest behind in virtual
- * time (optionally weighted by priority — stride scheduling), which
- * makes runs deterministic and independent of host thread count.
+ * against the job's memory partition), but all jobs run on one
+ * Machine: they reserve bandwidth on its FabricChannels, wear its
+ * SsdDevice, and serialize kernels on its GpuComputeTimeline. The
+ * machine interleaves jobs at kernel granularity by stepping whichever
+ * job is furthest behind in virtual time (optionally weighted by
+ * priority — stride scheduling), which makes runs deterministic and
+ * independent of host thread count; this class is its fixed-arrival
+ * driver.
  */
 
 #ifndef G10_ENGINE_MULTI_TENANT_H
@@ -122,21 +124,10 @@ class MultiTenantSim
     void setTracer(Tracer* tracer) { tracer_ = tracer; }
 
   private:
-    /** Index of the next job to step, or -1 when all finished. */
-    int pickNext(const std::vector<std::unique_ptr<SimRuntime>>& rts,
-                 const std::vector<bool>& live);
-
     WorkloadMix mix_;
     std::vector<KernelTrace> traces_;
     SystemConfig scaledSys_;  ///< the shared machine, after scaling
     Tracer* tracer_ = nullptr;
-
-    // Priority (stride) scheduling state, sized/reset by run(): a
-    // job's virtual time is (now - vtBase) / priority. A joiner's
-    // base is seeded so its virtual time equals the runnable set's
-    // minimum -- no catch-up credit for time before its arrival.
-    std::vector<TimeNs> vtBase_;
-    std::vector<bool> joined_;
 };
 
 }  // namespace g10

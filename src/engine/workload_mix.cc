@@ -68,7 +68,7 @@ const SpecKey<WorkloadMix> kMixKeys[] = {
          auto attrs =
              e.attributes(1, &words, "at least a model name", "job");
          JobSpec job;
-         job.model = modelKindFromName(words[0]);
+         job.model = modelKindAt(e, words[0]);
          applyAttributes(attrs, kJobAttributes, &job);
          if (job.batchSize == 0)
              job.batchSize = paperBatchSize(job.model);

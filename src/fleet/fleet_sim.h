@@ -108,8 +108,9 @@ struct FleetPlacementResult
     std::uint64_t rateProbes = 0;
 };
 
-/** Whole-fleet outcome (what g10fleet reports). */
-struct FleetResult
+/** Whole-fleet outcome (what g10fleet reports); the ProbeTotals are
+ *  the auto-knee search's (all zero in fixed-rate mode). */
+struct FleetResult : ProbeTotals
 {
     FleetSpec spec;
 
@@ -132,15 +133,6 @@ struct FleetResult
      *  auto-knee mode, decided probes merge in probe order per
      *  placement — wasted speculation is dropped wholesale. */
     CounterRegistry counters;
-
-    /** Auto-knee probe-scheduler totals (all zero in fixed-rate
-     *  mode). Reporting-only, like the serve sweep's: speculation
-     *  depends on pool timing, the decided path never does. */
-    std::uint64_t probesIssued = 0;
-    std::uint64_t probesSpeculative = 0;
-    std::uint64_t probeSpecUsed = 0;
-    std::uint64_t probeSpecWasted = 0;
-    std::uint64_t probeCacheHits = 0;
 
     /** True when no node cell had failed (crashed) jobs. */
     bool allSucceeded() const;
@@ -234,16 +226,12 @@ class FleetSim
     FleetMetrics aggregate(const FleetPlacementResult& placement,
                            TimeNs firstArrival) const;
 
-    /** The shared stream re-timed at offered rate @p rate (identical
-     *  class sequence — picks draw from their own RNG stream). */
-    std::vector<ServeRequest> streamAtRate(double rate) const;
-
     /**
      * `rate = auto`: per placement, bisect the fleet-wide offered
      * rate for the capacity knee through the speculative probe
      * scheduler. One probe = route the re-timed stream, then run
      * every node sequentially inside the probe; one SweepPlanCache
-     * and one ProbeCache span all nodes and placements.
+     * spans all nodes and placements.
      */
     void runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
                  FleetResult* out);

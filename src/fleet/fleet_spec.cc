@@ -37,7 +37,7 @@ const SpecKey<FleetNodeSpec> kNodeAttributes[] = {
     {"families",
      [](const SpecEntry& e, FleetNodeSpec* n) {
          for (const SpecEntry& item : e.list())
-             n->families.push_back(modelKindFromName(item.value));
+             n->families.push_back(modelKindAt(item, item.value));
      }},
 };
 

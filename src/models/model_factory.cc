@@ -2,6 +2,7 @@
 #include <cctype>
 
 #include "common/logging.h"
+#include "common/spec_reader.h"
 #include "models/model_zoo.h"
 
 namespace g10 {
@@ -43,10 +44,16 @@ tryModelKindFromName(const std::string& name, ModelKind* out)
 ModelKind
 modelKindFromName(const std::string& name)
 {
+    return modelKindAt(SpecEntry{}, name);
+}
+
+ModelKind
+modelKindAt(const SpecEntry& at, const std::string& name)
+{
     ModelKind kind;
     if (!tryModelKindFromName(name, &kind))
-        fatal("unknown model '%s' (expected BERT/ViT/Inceptionv3/"
-              "ResNet152/SENet154)", name.c_str());
+        at.fail("unknown model '%s' (expected BERT/ViT/Inceptionv3/"
+                "ResNet152/SENet154)", name.c_str());
     return kind;
 }
 

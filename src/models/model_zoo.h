@@ -37,6 +37,12 @@ const char* modelName(ModelKind kind);
 /** Parse a model name (case-insensitive); fatal() on unknown names. */
 ModelKind modelKindFromName(const std::string& name);
 
+struct SpecEntry;
+
+/** modelKindFromName for a name read from spec line @p at: an unknown
+ *  name fails with at's path:line. */
+ModelKind modelKindAt(const SpecEntry& at, const std::string& name);
+
 /**
  * Non-fatal variant: false when @p name is not a zoo model (e.g. the
  * model name of a synthetic saved trace). @p out is untouched then.

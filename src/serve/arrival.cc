@@ -113,7 +113,7 @@ parseArrivalTrace(const std::string& path)
 
         TraceRequest req;
         req.arrivalNs = time.millis(0.0);
-        req.model = modelKindFromName(words[1]);
+        req.model = modelKindAt(e, words[1]);
         applyAttributes(attrs, kRequestAttributes, &req);
         if (!out.empty() && req.arrivalNs < out.back().arrivalNs)
             e.fail("arrival times must be non-decreasing");

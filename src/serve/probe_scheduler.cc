@@ -17,27 +17,6 @@ rateBitsOf(double rate)
     return bits;
 }
 
-// ---- ProbeCache ----------------------------------------------------
-
-std::shared_ptr<const ProbeResult>
-ProbeCache::find(const ProbeKey& key) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = slots_.find(key);
-    return it != slots_.end() ? it->second.result : nullptr;
-}
-
-std::uint64_t
-ProbeCache::entries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t n = 0;
-    for (const auto& kv : slots_)
-        if (kv.second.result != nullptr)
-            ++n;
-    return n;
-}
-
 // ---- ArenaPool -----------------------------------------------------
 
 std::unique_ptr<Arena>
@@ -64,12 +43,9 @@ ArenaPool::release(std::unique_ptr<Arena> arena)
 
 // ---- ProbeScheduler ------------------------------------------------
 
-ProbeScheduler::ProbeScheduler(ExperimentEngine& engine,
-                               ProbeCache& cache, std::uint64_t specFp,
-                               ProbeFn fn, bool speculate, int maxDepth)
+ProbeScheduler::ProbeScheduler(ExperimentEngine& engine, ProbeFn fn,
+                               bool speculate, int maxDepth)
     : engine_(engine),
-      cache_(cache),
-      specFp_(specFp),
       fn_(std::move(fn)),
       speculate_(speculate && engine.workers() >= 2),
       maxDepth_(maxDepth),
@@ -83,64 +59,48 @@ ProbeScheduler::~ProbeScheduler()
     // caller's captures, so drain it before those go away.
     for (;;) {
         {
-            std::unique_lock<std::mutex> lk(cache_.mu_);
+            std::unique_lock<std::mutex> lk(mu_);
             if (inFlight_ == 0)
                 return;
         }
         if (engine_.tryRunOne())
             continue;
-        std::unique_lock<std::mutex> lk(cache_.mu_);
+        std::unique_lock<std::mutex> lk(mu_);
         if (inFlight_ == 0)
             return;
-        const std::uint64_t seen = cache_.version_;
-        cache_.cv_.wait(lk, [&] {
-            return inFlight_ == 0 || cache_.version_ != seen;
-        });
+        const std::uint64_t seen = version_;
+        cv_.wait(lk, [&] { return inFlight_ == 0 || version_ != seen; });
     }
 }
 
-ProbeKey
-ProbeScheduler::keyFor(std::uint32_t lane, double rate) const
-{
-    ProbeKey key;
-    key.specFp = specFp_;
-    key.lane = lane;
-    key.rateBits = rateBitsOf(rate);
-    return key;
-}
-
 void
-ProbeScheduler::issueLocked(std::unique_lock<std::mutex>& lk,
-                            const ProbeKey& key, std::uint32_t lane,
-                            double rate, bool speculative)
+ProbeScheduler::issueLocked(const ProbeKey& key, double rate,
+                            bool speculative)
 {
-    ProbeCache::Slot& slot = cache_.slots_[key];
-    slot.speculative = speculative;
+    slots_[key].speculative = speculative;
     ++inFlight_;
     ++stats_.issued;
     if (speculative)
         ++stats_.speculated;
-    ++cache_.version_;
+    ++version_;
 
-    // Submit while holding the cache lock (lock order is always
-    // cache -> engine queue; the task body runs lock-free and only
-    // then re-takes the cache lock, so there is no cycle).
-    engine_.submit([this, key, lane, rate] {
-        ProbeResult r = fn_(lane, rate);
-        std::lock_guard<std::mutex> lock(cache_.mu_);
-        cache_.slots_[key].result =
+    // Submit while holding the lock (lock order is always scheduler ->
+    // engine queue; the task body runs lock-free and only then re-takes
+    // the scheduler lock, so there is no cycle).
+    engine_.submit([this, key, rate] {
+        ProbeResult r = fn_(key.lane, rate);
+        std::lock_guard<std::mutex> lock(mu_);
+        slots_[key].result =
             std::make_shared<const ProbeResult>(std::move(r));
         --inFlight_;
-        ++cache_.version_;
-        cache_.cv_.notify_all();
+        ++version_;
+        cv_.notify_all();
     });
-    (void)lk;
-    cache_.cv_.notify_all();
+    cv_.notify_all();
 }
 
 void
-ProbeScheduler::speculateLocked(std::unique_lock<std::mutex>& lk,
-                                std::uint32_t lane,
+ProbeScheduler::speculateLocked(std::uint32_t lane,
                                 const KneeCursor& cursor)
 {
     if (!speculate_)
@@ -162,9 +122,9 @@ ProbeScheduler::speculateLocked(std::unique_lock<std::mutex>& lk,
                 child.advance(sustained);
                 if (child.done())
                     continue;
-                const ProbeKey key = keyFor(lane, child.next());
-                if (cache_.slots_.find(key) == cache_.slots_.end())
-                    issueLocked(lk, key, lane, child.next(), true);
+                const ProbeKey key{lane, rateBitsOf(child.next())};
+                if (slots_.find(key) == slots_.end())
+                    issueLocked(key, child.next(), true);
                 next.push_back(child);
             }
         }
@@ -175,57 +135,49 @@ ProbeScheduler::speculateLocked(std::unique_lock<std::mutex>& lk,
 std::shared_ptr<const ProbeResult>
 ProbeScheduler::acquire(std::uint32_t lane, const KneeCursor& cursor)
 {
-    const ProbeKey key = keyFor(lane, cursor.next());
-    {
-        std::unique_lock<std::mutex> lk(cache_.mu_);
-        ++stats_.decided;
-        auto it = cache_.slots_.find(key);
-        if (it == cache_.slots_.end()) {
-            issueLocked(lk, key, lane, cursor.next(), false);
-        } else {
-            ProbeCache::Slot& slot = it->second;
-            if (slot.speculative && !slot.consumed)
-                ++stats_.speculationUsed;
-            if (slot.result != nullptr)
-                ++stats_.cacheHits;
-        }
-        cache_.slots_[key].consumed = true;
-        speculateLocked(lk, lane, cursor);
+    const ProbeKey key{lane, rateBitsOf(cursor.next())};
+    std::unique_lock<std::mutex> lk(mu_);
+    ++stats_.decided;
+    auto it = slots_.find(key);
+    if (it == slots_.end()) {
+        issueLocked(key, cursor.next(), false);
+        it = slots_.find(key);
+    } else {
+        if (it->second.speculative && !it->second.consumed)
+            ++stats_.speculationUsed;
+        if (it->second.result != nullptr)
+            ++stats_.cacheHits;
     }
+    it->second.consumed = true;
+    speculateLocked(lane, cursor);
 
     // Wait for the probe, draining other queued probes meanwhile —
     // the "pitch-in" that lets N consumers and their speculation
     // share any pool size without deadlock: a consumer only sleeps
     // when the engine queue is empty, which means its awaited probe
     // is *running* on some thread and will complete and notify.
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lk(cache_.mu_);
-            auto it = cache_.slots_.find(key);
-            if (it->second.result != nullptr)
-                return it->second.result;
-        }
-        if (engine_.tryRunOne())
+    // std::map never moves its nodes, so `it` stays valid throughout.
+    const Slot& slot = it->second;
+    while (slot.result == nullptr) {
+        lk.unlock();
+        const bool ran = engine_.tryRunOne();
+        lk.lock();
+        if (ran || slot.result != nullptr)
             continue;
-        std::unique_lock<std::mutex> lk(cache_.mu_);
-        auto it = cache_.slots_.find(key);
-        if (it->second.result != nullptr)
-            return it->second.result;
-        const std::uint64_t seen = cache_.version_;
-        cache_.cv_.wait(lk, [&] {
-            return it->second.result != nullptr ||
-                   cache_.version_ != seen;
+        const std::uint64_t seen = version_;
+        cv_.wait(lk, [&] {
+            return slot.result != nullptr || version_ != seen;
         });
-        if (it->second.result != nullptr)
-            return it->second.result;
-        // A new probe was enqueued while we dozed — go pitch in.
+        // Otherwise a new probe was enqueued while we dozed — go
+        // pitch in.
     }
+    return slot.result;
 }
 
 ProbeStats
 ProbeScheduler::stats() const
 {
-    std::lock_guard<std::mutex> lock(cache_.mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ProbeStats s = stats_;
     // Every speculative slot is consumed at most once, so the split
     // is exact once the searches are done.
@@ -233,7 +185,97 @@ ProbeScheduler::stats() const
     return s;
 }
 
+// ---- Knee-search driver --------------------------------------------
+
+std::vector<KneeCursor>
+runKneeSearch(ExperimentEngine& engine, std::size_t lanes,
+              const ServeScenario& scenario, ProbeScheduler::ProbeFn probe,
+              const KneeProbeSink& decided, ProbeTotals* totals,
+              CounterRegistry* counters)
+{
+    std::vector<KneeCursor> cursors(
+        lanes, KneeCursor(scenario.resolvedRateLo(), scenario.rateHi,
+                          scenario.rateProbes));
+    std::vector<CounterRegistry> regs(counters != nullptr ? lanes : 0);
+    ProbeStats stats;
+    {
+        ProbeScheduler sched(engine, std::move(probe),
+                             scenario.speculativeProbes);
+        engine.parallelFor(lanes, [&](std::size_t l) {
+            const auto lane = static_cast<std::uint32_t>(l);
+            KneeCursor& cur = cursors[l];
+            while (!cur.done()) {
+                std::shared_ptr<const ProbeResult> res =
+                    sched.acquire(lane, cur);
+                decided(lane, res);
+                if (counters != nullptr)
+                    regs[l].merge(res->counters);
+                cur.advance(res->sustained);
+            }
+        });
+        // The searches are done; the dtor drains whatever speculation
+        // is still in flight before the caller's captures go away.
+        stats = sched.stats();
+    }
+
+    totals->probesIssued = stats.issued;
+    totals->probesSpeculative = stats.speculated;
+    totals->probeSpecUsed = stats.speculationUsed;
+    totals->probeSpecWasted = stats.speculationWasted;
+    totals->probeCacheHits = stats.cacheHits;
+    if (counters != nullptr) {
+        for (CounterRegistry& reg : regs)
+            counters->merge(reg);
+        // Scheduler accounting rides the same registry (visible via
+        // --metrics, never serialized into a result document).
+        counters->add("sweep.probe.issued", stats.issued);
+        counters->add("sweep.probe.decided", stats.decided);
+        counters->add("sweep.probe.speculated", stats.speculated);
+        counters->add("sweep.probe.speculation_used",
+                      stats.speculationUsed);
+        counters->add("sweep.probe.speculation_wasted",
+                      stats.speculationWasted);
+        counters->add("sweep.probe.cache_hits", stats.cacheHits);
+    }
+    return cursors;
+}
+
 // ---- Spec fingerprint ----------------------------------------------
+
+namespace {
+
+/** FNV-1a accumulator of the spec fingerprint. */
+class SpecHash
+{
+  public:
+    void mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (i * 8)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+
+    void mixDouble(double v) { mix(rateBitsOf(v)); }
+
+    void mixString(const std::string& s)
+    {
+        mix(s.size());
+        for (char c : s) {
+            h_ ^= static_cast<unsigned char>(c);
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+
+    /** Never 0, so a fingerprint is always distinguishable from an
+     *  unset key. */
+    std::uint64_t digest() const { return h_ == 0 ? 1 : h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+}  // namespace
 
 std::uint64_t
 fingerprintServeSpec(const ServeSpec& spec)

@@ -8,10 +8,9 @@
  * successors — so while the decided probe runs, idle workers can
  * speculatively evaluate both possible next rates (and, budget
  * permitting, their children up to a bounded depth). Every probe
- * result is memoized in a ProbeCache keyed by (spec fingerprint,
- * search lane, rate), so no rate is ever simulated twice and a
- * mispredicted branch is pure prefetch — never re-work on the decided
- * path.
+ * result is memoized by the scheduler, keyed by (search lane, rate),
+ * so no rate is ever simulated twice and a mispredicted branch is
+ * pure prefetch — never re-work on the decided path.
  *
  * Bit-identity contract: the consumer replays the *exact* sequential
  * search through a KneeCursor (a pure automaton of the historical
@@ -142,20 +141,17 @@ struct ProbeResult
     TimeNs firstArrivalNs = 0;  ///< fleet makespan anchor at this rate
 };
 
-/** What a probe is a pure function of: the scenario fingerprint, the
- *  search lane (design index / placement index), and the rate's bit
- *  pattern (bisection rates are exact binary fractions — comparing
- *  bits, not values, keeps 0.0 vs -0.0 style surprises out). */
+/** What a probe is a pure function of within one search: the search
+ *  lane (design index / placement index) and the rate's bit pattern
+ *  (bisection rates are exact binary fractions — comparing bits, not
+ *  values, keeps 0.0 vs -0.0 style surprises out). */
 struct ProbeKey
 {
-    std::uint64_t specFp = 0;
     std::uint32_t lane = 0;
     std::uint64_t rateBits = 0;
 
     bool operator<(const ProbeKey& o) const
     {
-        if (specFp != o.specFp)
-            return specFp < o.specFp;
         if (lane != o.lane)
             return lane < o.lane;
         return rateBits < o.rateBits;
@@ -164,44 +160,6 @@ struct ProbeKey
 
 /** The bit pattern of @p rate (the ProbeKey encoding). */
 std::uint64_t rateBitsOf(double rate);
-
-/**
- * Memoized probe results. Slots are created when a probe is issued
- * (result still null while it runs) and filled exactly once; the same
- * key always resolves to the same immutable result object, so a
- * consumer re-reading a rate gets pointer-identical cells. One cache
- * may span several searches (the fleet shares one across all
- * placements of a spec; its SweepPlanCache sibling spans all nodes).
- */
-class ProbeCache
-{
-  public:
-    /** Completed result for @p key; null when absent or in flight. */
-    std::shared_ptr<const ProbeResult> find(const ProbeKey& key) const;
-
-    /** Completed results memoized so far. */
-    std::uint64_t entries() const;
-
-  private:
-    friend class ProbeScheduler;
-
-    struct Slot
-    {
-        std::shared_ptr<const ProbeResult> result;  ///< null in flight
-        bool speculative = false;  ///< issued ahead of the decision
-        bool consumed = false;     ///< a decided path read it
-    };
-
-    // One mutex/cv guards slots and every scheduler counter: the
-    // completion wake-up and the waiter's predicate re-check must be
-    // ordered, and a version counter bumped on every issue *and*
-    // completion closes the enqueue-vs-sleep race (a waiter that saw
-    // an empty engine queue re-wakes when new work appears).
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::uint64_t version_ = 0;
-    std::map<ProbeKey, Slot> slots_;
-};
 
 /** Speculation accounting of one scheduler (reporting-only). */
 struct ProbeStats
@@ -234,14 +192,19 @@ class ArenaPool
 };
 
 /**
- * The probe tree executor. Consumers (one per search lane) walk their
- * KneeCursor and acquire() each decided probe; the scheduler issues
- * it if no one has yet, then — while the consumer waits — expands the
- * cursor's speculation frontier (both possible successors, then their
- * children, breadth-first up to @p maxDepth) onto idle workers.
- * Waiting consumers pitch in via ExperimentEngine::tryRunOne(), so
- * every pool size makes progress and a 1-worker pool degenerates to
- * exactly the sequential search.
+ * The probe tree executor and its memo. Consumers (one per search
+ * lane) walk their KneeCursor and acquire() each decided probe; the
+ * scheduler issues it if no one has yet, then — while the consumer
+ * waits — expands the cursor's speculation frontier (both possible
+ * successors, then their children, breadth-first up to @p maxDepth)
+ * onto idle workers. Waiting consumers pitch in via
+ * ExperimentEngine::tryRunOne(), so every pool size makes progress and
+ * a 1-worker pool degenerates to exactly the sequential search.
+ *
+ * Every probe is memoized for the scheduler's lifetime (one search):
+ * a slot is created when the probe is issued (result still null while
+ * it runs) and filled exactly once, so the same key always resolves to
+ * the same immutable result object and no rate is simulated twice.
  *
  * Speculation is automatically disabled on pools with fewer than two
  * workers: there is no idle capacity to soak, and staying inert keeps
@@ -255,8 +218,7 @@ class ProbeScheduler
     using ProbeFn = std::function<ProbeResult(std::uint32_t lane,
                                               double rate)>;
 
-    ProbeScheduler(ExperimentEngine& engine, ProbeCache& cache,
-                   std::uint64_t specFp, ProbeFn fn, bool speculate,
+    ProbeScheduler(ExperimentEngine& engine, ProbeFn fn, bool speculate,
                    int maxDepth = 3);
 
     /** Drains in-flight probes (pitching in) before returning. */
@@ -278,72 +240,72 @@ class ProbeScheduler
     ProbeStats stats() const;
 
   private:
-    /** Issue a probe for @p key (cache lock held). */
-    void issueLocked(std::unique_lock<std::mutex>& lk,
-                     const ProbeKey& key, std::uint32_t lane,
-                     double rate, bool speculative);
+    struct Slot
+    {
+        std::shared_ptr<const ProbeResult> result;  ///< null in flight
+        bool speculative = false;  ///< issued ahead of the decision
+        bool consumed = false;     ///< a decided path read it
+    };
 
-    /** Expand @p cursor 's speculation frontier (cache lock held). */
-    void speculateLocked(std::unique_lock<std::mutex>& lk,
-                         std::uint32_t lane, const KneeCursor& cursor);
+    /** Issue a probe for @p key (lock held). */
+    void issueLocked(const ProbeKey& key, double rate, bool speculative);
 
-    ProbeKey keyFor(std::uint32_t lane, double rate) const;
+    /** Expand @p cursor 's speculation frontier (lock held). */
+    void speculateLocked(std::uint32_t lane, const KneeCursor& cursor);
 
     ExperimentEngine& engine_;
-    ProbeCache& cache_;
-    std::uint64_t specFp_;
     ProbeFn fn_;
     bool speculate_;
     int maxDepth_;
     std::size_t maxInFlight_;
 
-    // All guarded by cache_.mu_.
+    // One mutex/cv guards the slots and every counter: the completion
+    // wake-up and the waiter's predicate re-check must be ordered, and
+    // a version counter bumped on every issue *and* completion closes
+    // the enqueue-vs-sleep race (a waiter that saw an empty engine
+    // queue re-wakes when new work appears).
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    std::uint64_t version_ = 0;
+    std::map<ProbeKey, Slot> slots_;
     std::size_t inFlight_ = 0;
     ProbeStats stats_;
 };
 
+/** Called with every decided probe of @p lane, in decided order, on
+ *  that lane's consumer thread. */
+using KneeProbeSink = std::function<void(
+    std::uint32_t lane, const std::shared_ptr<const ProbeResult>& result)>;
+
+/**
+ * The capacity-knee search of @p lanes independent lanes (a serve
+ * sweep's designs, a fleet's placements) over one ProbeScheduler: each
+ * lane walks a KneeCursor from @p scenario 's bracket and probe budget
+ * on its own pool task, handing every decided probe to @p decided.
+ * Speculation follows scenario.speculativeProbes.
+ *
+ * Records the scheduler's accounting in @p totals. With @p counters,
+ * the decided probes' registries merge per lane in decided order, the
+ * lanes in lane order, and the six `sweep.probe.*` counters follow —
+ * so totals never depend on speculation or worker count.
+ *
+ * @return every lane's finished cursor (knee(), used())
+ */
+std::vector<KneeCursor>
+runKneeSearch(ExperimentEngine& engine, std::size_t lanes,
+              const ServeScenario& scenario, ProbeScheduler::ProbeFn probe,
+              const KneeProbeSink& decided, ProbeTotals* totals,
+              CounterRegistry* counters);
+
 /**
  * Fingerprint of everything a serve probe's cell result is a pure
  * function of (platform, scale, seed, slots, partitioning, admission,
- * SLO, request count, arrival process, designs, classes) — the
- * ProbeCache key component that keeps two different scenarios from
- * ever colliding. Pure wall-clock knobs (sweep_cache, speculate) and
- * the search-shape knobs (rates bracket, probe budget) are excluded:
- * they steer *which* rates get probed, never what one probe returns.
+ * SLO, request count, arrival process, designs, classes). Pure
+ * wall-clock knobs (sweep_cache, speculate) and the search-shape knobs
+ * (rates bracket, probe budget) are excluded: they steer *which* rates
+ * get probed, never what one probe returns.
  */
 std::uint64_t fingerprintServeSpec(const ServeSpec& spec);
-
-/** FNV-1a accumulator the spec fingerprints are built from (fleet
- *  composes node/stream fields onto its nodes' serve fingerprints). */
-class SpecHash
-{
-  public:
-    void mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (i * 8)) & 0xff;
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    void mixDouble(double v) { mix(rateBitsOf(v)); }
-
-    void mixString(const std::string& s)
-    {
-        mix(s.size());
-        for (char c : s) {
-            h_ ^= static_cast<unsigned char>(c);
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    /** Never 0, so a fingerprint is always distinguishable from an
-     *  unset key. */
-    std::uint64_t digest() const { return h_ == 0 ? 1 : h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 }  // namespace g10
 

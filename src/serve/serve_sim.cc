@@ -6,6 +6,7 @@
 #include "common/event_queue.h"
 #include "common/logging.h"
 #include "common/stats.h"
+#include "engine/machine.h"
 #include "engine/partition.h"
 #include "policies/design_point.h"
 #include "obs/tracer.h"
@@ -159,6 +160,43 @@ pctNs(const Distribution& d, double p)
 
 }  // namespace
 
+std::vector<ServeRequest>
+requestStream(const ServeScenario& scenario,
+              const std::vector<ServeJobClass>& classes, double rate,
+              const std::vector<ServeRequest>& traced)
+{
+    std::vector<ServeRequest> out;
+    if (scenario.arrival.kind == ArrivalKind::Trace) {
+        out = traced;
+        for (ServeRequest& r : out)
+            r.arrivalNs = static_cast<TimeNs>(
+                static_cast<double>(r.arrivalNs) / rate);
+        return out;
+    }
+
+    std::vector<TimeNs> times = generateArrivals(
+        scenario.arrival, rate, scenario.requests, scenario.seed);
+    std::mt19937_64 picks(scenario.seed + 1);
+    double wsum = 0.0;
+    for (const ServeJobClass& cls : classes)
+        wsum += cls.weight;
+    out.reserve(times.size());
+    for (TimeNs t : times) {
+        double u = unitInterval(picks) * wsum;
+        double cum = 0.0;
+        std::size_t ci = classes.size() - 1;
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            cum += classes[c].weight;
+            if (u <= cum) {
+                ci = c;
+                break;
+            }
+        }
+        out.push_back({t, ci});
+    }
+    return out;
+}
+
 // ---------------------------------------------------------------------
 // ServeSim: one (design, rate) cell
 // ---------------------------------------------------------------------
@@ -222,23 +260,17 @@ ServeSim::run()
             (static_cast<double>(gpu) / static_cast<double>(totalGpu)));
     };
 
-    SsdDevice ssd(scaled);
-    FabricChannels channels;
-    GpuComputeTimeline gpu;
     // Per-job runtime scratch comes from a bump arena: jobs churn, so
     // their vectors' free()s are wasted work — the arena drops them
     // all at once. An injected arena (knee probes draw one per
     // in-flight probe from an ArenaPool, so concurrent probes never
     // share) carries its high-water chunk from probe to probe; a cell
-    // running on its own (grid / fleet) uses a local one. Declared
-    // before `active` below so every SimRuntime dies before its
-    // memory does.
+    // running on its own (grid / fleet) uses a local one. The arena
+    // and the machine are declared before `active` below so every
+    // SimRuntime dies before its memory and platform do.
     Arena localArena;
-    SharedResources shared;
-    shared.ssd = &ssd;
-    shared.channels = &channels;
-    shared.gpu = &gpu;
-    shared.arena = arena_ != nullptr ? arena_ : &localArena;
+    Machine machine(scaled, MixSched::RoundRobin,
+                    arena_ != nullptr ? arena_ : &localArena);
 
     AdmissionQueue queue(spec_.admit, spec_.queueCapacity,
                          spec_.starvationNs);
@@ -542,7 +574,7 @@ ServeSim::run()
         rc.startNs = when;
         a.rt = std::make_unique<SimRuntime>(traces_[r.classIndex],
                                             *a.design.policy, rc,
-                                            shared);
+                                            machine.shared());
         if (tp) {
             tp->admission(static_cast<int>(req), cls.name, r.arrivalNs,
                           when, a.lease.sys.gpuMemBytes, oc.warm);
@@ -550,6 +582,7 @@ ServeSim::run()
             a.rt->setTracer(tp, static_cast<int>(req));
         }
         a.rt->start();
+        machine.attach(*a.rt, req);
         out.jobs[req].admitNs = when;
         active.push_back(std::move(a));
     };
@@ -584,21 +617,12 @@ ServeSim::run()
 
     // Main interleaving loop: either the next arrival is due before
     // any active job's clock (process arrivals/admissions), or the
-    // active job furthest behind in time replays one kernel — the
-    // same deterministic furthest-behind discipline MultiTenantSim
-    // uses, extended with mid-run attach/detach.
+    // machine replays one kernel of the active job furthest behind in
+    // time — the interleave MultiTenantSim drives, with jobs attached
+    // at admission and detached at departure.
     while (!arrivals.empty() || !queue.empty() || !active.empty()) {
-        std::size_t minIdx = SIZE_MAX;
-        TimeNs minClock = 0;
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            if (minIdx == SIZE_MAX || active[i].rt->now() < minClock) {
-                minClock = active[i].rt->now();
-                minIdx = i;
-            }
-        }
-
         const TimeNs nextArr = arrivals.nextTime();
-        if (minIdx == SIZE_MAX || nextArr <= minClock) {
+        if (nextArr <= machine.nextClock()) {
             if (arrivals.empty())
                 panic("serve loop stalled: queued jobs but no "
                       "arrivals and no active jobs");
@@ -663,12 +687,16 @@ ServeSim::run()
             continue;
         }
 
-        Active& a = active[minIdx];
-        if (a.rt->stepKernel())
+        const std::optional<std::size_t> done = machine.stepNext();
+        if (!done)
             continue;
 
         // Departure: finalize, record, release the partition lease
         // and trim the job's SSD log space for the next arrival.
+        auto it = std::find_if(
+            active.begin(), active.end(),
+            [&](const Active& x) { return x.request == *done; });
+        Active& a = *it;
         ExecStats st = a.rt->finalize();
         ServeJobOutcome& o = out.jobs[a.request];
         o.finishNs = a.rt->now();
@@ -695,8 +723,7 @@ ServeSim::run()
         a.rt->releaseSsdLog();
         partitions.release(&a.lease);
         const TimeNs freedAt = a.rt->now();
-        active.erase(active.begin() +
-                     static_cast<std::ptrdiff_t>(minIdx));
+        active.erase(it);
         drainQueue(freedAt);
         redistributeAfterDeparture();
     }
@@ -758,12 +785,12 @@ ServeSim::run()
         m.makespanNs = lastFinish - firstArrival;
         m.throughputRps = static_cast<double>(m.completed) /
                           (static_cast<double>(m.makespanNs) / SEC);
-        m.gpuUtilization = static_cast<double>(gpu.busyNs) /
+        m.gpuUtilization = static_cast<double>(machine.gpu().busyNs) /
                            static_cast<double>(m.makespanNs);
     }
     m.maxQueueDepth = queue.maxDepth();
     m.starvationPromotions = queue.starvationPromotions();
-    out.ssd = ssd.stats();
+    out.ssd = machine.ssd().stats();
     return out;
 }
 
@@ -793,43 +820,30 @@ ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
     if (spec_.arrival.kind == ArrivalKind::Trace) {
         // Job classes are derived from the trace: one per distinct
         // (model, batch, iterations, priority) request shape.
-        traceReqs_ = parseArrivalTrace(spec_.arrival.tracePath);
-        for (TraceRequest& tr : traceReqs_) {
-            if (tr.batchSize <= 0)
-                tr.batchSize = paperBatchSize(tr.model);
-            std::size_t ci = classes_.size();
-            for (std::size_t c = 0; c < classes_.size(); ++c) {
-                if (classes_[c].model == tr.model &&
-                    classes_[c].batchSize == tr.batchSize &&
-                    classes_[c].iterations == tr.iterations &&
-                    classes_[c].priority == tr.priority) {
-                    ci = c;
-                    break;
-                }
-            }
-            if (ci == classes_.size()) {
-                ServeJobClass cls;
-                cls.model = tr.model;
-                cls.batchSize = tr.batchSize;
-                cls.iterations = tr.iterations;
-                cls.priority = tr.priority;
-                cls.name = std::string(modelName(tr.model)) + "-" +
-                           std::to_string(tr.batchSize);
-                classes_.push_back(cls);
-            }
-            traceClass_.push_back(ci);
+        for (const TraceRequest& tr :
+             parseArrivalTrace(spec_.arrival.tracePath)) {
+            ServeJobClass shape;
+            shape.model = tr.model;
+            shape.batchSize = tr.batchSize;
+            shape.iterations = tr.iterations;
+            shape.priority = tr.priority;
+            shape = resolvedClass(shape);
+            std::size_t ci = 0;
+            while (ci < classes_.size() &&
+                   !(classes_[ci].model == shape.model &&
+                     classes_[ci].batchSize == shape.batchSize &&
+                     classes_[ci].iterations == shape.iterations &&
+                     classes_[ci].priority == shape.priority))
+                ++ci;
+            if (ci == classes_.size())
+                classes_.push_back(shape);
+            traced_.push_back({tr.arrivalNs, ci});
         }
     } else {
         if (spec_.classes.empty())
             fatal("serve sweep needs at least one job class");
-        classes_ = spec_.classes;
-        for (ServeJobClass& cls : classes_) {
-            if (cls.batchSize <= 0)
-                cls.batchSize = paperBatchSize(cls.model);
-            if (cls.name.empty())
-                cls.name = std::string(modelName(cls.model)) + "-" +
-                           std::to_string(cls.batchSize);
-        }
+        for (const ServeJobClass& cls : spec_.classes)
+            classes_.push_back(resolvedClass(cls));
     }
 
     traces_.reserve(classes_.size());
@@ -854,52 +868,6 @@ ServeSweep::sharePlanCache(SweepPlanCache* cache)
 {
     planCache_ = cache;
     ownedPlanCache_.reset();
-}
-
-std::vector<ServeRequest>
-ServeSweep::requestsAtRate(double rate) const
-{
-    std::vector<ServeRequest> out;
-    if (spec_.arrival.kind == ArrivalKind::Trace) {
-        // The rate is a replay-speed multiplier over the trace; class
-        // indices were resolved once at construction.
-        out.reserve(traceReqs_.size());
-        for (std::size_t i = 0; i < traceReqs_.size(); ++i) {
-            ServeRequest r;
-            r.arrivalNs = static_cast<TimeNs>(
-                static_cast<double>(traceReqs_[i].arrivalNs) / rate);
-            r.classIndex = traceClass_[i];
-            out.push_back(r);
-        }
-        return out;
-    }
-
-    std::vector<TimeNs> times = generateArrivals(
-        spec_.arrival, rate, spec_.requests, spec_.seed);
-    // Class picks draw from their own engine so the class sequence is
-    // identical at every rate (cells differ only in arrival spacing).
-    std::mt19937_64 picks(spec_.seed + 1);
-    double wsum = 0.0;
-    for (const ServeJobClass& cls : classes_)
-        wsum += cls.weight;
-    out.reserve(times.size());
-    for (TimeNs t : times) {
-        double u = unitInterval(picks) * wsum;
-        double cum = 0.0;
-        std::size_t ci = classes_.size() - 1;
-        for (std::size_t c = 0; c < classes_.size(); ++c) {
-            cum += classes_[c].weight;
-            if (u <= cum) {
-                ci = c;
-                break;
-            }
-        }
-        ServeRequest r;
-        r.arrivalNs = t;
-        r.classIndex = ci;
-        out.push_back(r);
-    }
-    return out;
 }
 
 bool
@@ -970,36 +938,24 @@ ServeSweep::runAutoRates(ExperimentEngine& engine,
 {
     const std::size_t nd = spec_.designs.size();
     std::vector<std::vector<ServeCellResult>> cellsByDesign(nd);
-    std::vector<CounterRegistry> regs(nd);
-    out->sustainedRate.assign(nd, 0.0);
-    out->rateProbes.assign(nd, 0);
 
-    // Each design bisects independently: one consumer per design
-    // walks a KneeCursor (the sequential phase-1 doubling + phase-2
-    // bisection, verbatim) and acquires each decided probe from the
-    // scheduler, which runs it — and, while the consumer waits,
-    // speculatively runs the possible next rates — on the pool. The
-    // decided path only *reads* memoized results in sequential order,
-    // so cells, knees, and counters are byte-identical to the
-    // sequential search at any pool size. Each decided probe's
-    // registry merges into its design's in probe order, designs merge
-    // in design order below; the event sink observes only the first
-    // probe of the first design (which is always decided, never
-    // speculative: a lane's root is issued before any speculation on
-    // that lane). Probes draw arenas from a shared pool — one per
-    // in-flight probe — so a warm high-water chunk still serves probe
-    // after probe without the old one-arena-per-design sequential
-    // assumption.
+    // Each design bisects on its own search lane (runKneeSearch): the
+    // decided path reads memoized probes in sequential order, so
+    // cells, knees, and counters are byte-identical to the sequential
+    // search at any pool size. The event sink observes only the first
+    // probe of the first design (always decided, never speculative: a
+    // lane's root is issued before any speculation on that lane).
+    // Probes draw arenas from a shared pool — one per in-flight probe
+    // — so a warm high-water chunk still serves probe after probe.
     const double rootRate = spec_.resolvedRateLo();
-    ProbeCache probeCache;
     ArenaPool arenas;
-
     auto probeFn = [&](std::uint32_t d, double rate) -> ProbeResult {
         ProbeResult pr;
         std::unique_ptr<Arena> arena = arenas.acquire();
         {
             ServeSim sim(spec_, spec_.designs[d], rate, traces_,
-                         classes_, minGpu_, requestsAtRate(rate),
+                         classes_, minGpu_,
+                         requestStream(spec_, classes_, rate, traced_),
                          out->baselines[d]);
             sim.setObservers(
                 d == 0 && rate == rootRate ? obs.sink : nullptr,
@@ -1012,51 +968,20 @@ ServeSweep::runAutoRates(ExperimentEngine& engine,
         arenas.release(std::move(arena));
         return pr;
     };
+    auto decided = [&](std::uint32_t d,
+                       const std::shared_ptr<const ProbeResult>& res) {
+        cellsByDesign[d].push_back(res->cells.front());
+    };
 
-    ProbeStats stats;
-    {
-        ProbeScheduler sched(engine, probeCache,
-                             fingerprintServeSpec(spec_), probeFn,
-                             spec_.speculativeProbes);
-        engine.parallelFor(nd, [&](std::size_t d) {
-            KneeCursor cur(rootRate, spec_.rateHi, spec_.rateProbes);
-            while (!cur.done()) {
-                std::shared_ptr<const ProbeResult> res =
-                    sched.acquire(static_cast<std::uint32_t>(d), cur);
-                cellsByDesign[d].push_back(res->cells.front());
-                if (obs.collectCounters)
-                    regs[d].merge(res->counters);
-                cur.advance(res->sustained);
-            }
-            out->sustainedRate[d] = cur.knee();
-            out->rateProbes[d] = static_cast<std::uint64_t>(cur.used());
-        });
-        // The searches are done; the dtor drains whatever speculation
-        // is still in flight before the captures above go away.
-        stats = sched.stats();
-    }
-    out->probesIssued = stats.issued;
-    out->probesSpeculative = stats.speculated;
-    out->probeSpecUsed = stats.speculationUsed;
-    out->probeSpecWasted = stats.speculationWasted;
-    out->probeCacheHits = stats.cacheHits;
-
-    for (std::size_t d = 0; d < nd; ++d)
+    const std::vector<KneeCursor> knees = runKneeSearch(
+        engine, nd, spec_, probeFn, decided, out,
+        obs.collectCounters ? &out->counters : nullptr);
+    for (std::size_t d = 0; d < nd; ++d) {
+        out->sustainedRate.push_back(knees[d].knee());
+        out->rateProbes.push_back(
+            static_cast<std::uint64_t>(knees[d].used()));
         for (ServeCellResult& cell : cellsByDesign[d])
             out->cells.push_back(std::move(cell));
-    if (obs.collectCounters) {
-        for (CounterRegistry& reg : regs)
-            out->counters.merge(reg);
-        // Scheduler accounting rides the same registry (visible via
-        // --metrics, never serialized into the result document).
-        out->counters.add("sweep.probe.issued", stats.issued);
-        out->counters.add("sweep.probe.decided", stats.decided);
-        out->counters.add("sweep.probe.speculated", stats.speculated);
-        out->counters.add("sweep.probe.speculation_used",
-                          stats.speculationUsed);
-        out->counters.add("sweep.probe.speculation_wasted",
-                          stats.speculationWasted);
-        out->counters.add("sweep.probe.cache_hits", stats.cacheHits);
     }
 }
 
@@ -1096,7 +1021,8 @@ ServeSweep::run(ExperimentEngine& engine, const ServeObsRequest& obs)
     const std::size_t nr = spec_.rates.size();
     std::vector<std::vector<ServeRequest>> requestsByRate(nr);
     for (std::size_t r = 0; r < nr; ++r)
-        requestsByRate[r] = requestsAtRate(spec_.rates[r]);
+        requestsByRate[r] =
+            requestStream(spec_, classes_, spec_.rates[r], traced_);
 
     // The grid: every design at every offered rate, design-major.
     // Per-cell registries (cells run on pool threads), merged in grid

@@ -64,6 +64,20 @@ struct ServeRequest
 };
 
 /**
+ * The offered request stream of @p scenario at @p rate. Poisson and
+ * bursty arrivals draw their times from scenario.seed and their class
+ * picks (weighted by ServeJobClass::weight) from their own engine
+ * seeded seed + 1, so the class sequence is identical at every rate —
+ * streams differ only in arrival spacing. Trace arrivals replay
+ * @p traced (the trace at rate 1, classes resolved) with @p rate as a
+ * speed multiplier.
+ */
+std::vector<ServeRequest>
+requestStream(const ServeScenario& scenario,
+              const std::vector<ServeJobClass>& classes, double rate,
+              const std::vector<ServeRequest>& traced = {});
+
+/**
  * Length of one compiled plan's ideal timeline (kernel durations +
  * launch overhead) times @p iterations — the service-time estimate the
  * SJF admission key and the fleet router's backlog accounting use.
@@ -213,8 +227,26 @@ struct ServeClassBaseline
     bool failed = false;
 };
 
-/** Whole-sweep outcome (what g10serve reports). */
-struct ServeSweepResult
+/**
+ * Auto-knee probe-scheduler totals of one search (all zero without
+ * one): probe executions issued, how many of those were speculative,
+ * the speculative split into consumed vs mispredicted, and acquires
+ * that found a finished result waiting. Reporting-only (speculation
+ * depends on pool timing) and never serialized; the decided path the
+ * results record is byte-identical regardless.
+ */
+struct ProbeTotals
+{
+    std::uint64_t probesIssued = 0;
+    std::uint64_t probesSpeculative = 0;
+    std::uint64_t probeSpecUsed = 0;
+    std::uint64_t probeSpecWasted = 0;
+    std::uint64_t probeCacheHits = 0;
+};
+
+/** Whole-sweep outcome (what g10serve reports); the ProbeTotals are
+ *  the auto-knee search's. */
+struct ServeSweepResult : ProbeTotals
 {
     ServeSpec spec;
 
@@ -251,20 +283,6 @@ struct ServeSweepResult
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     std::uint64_t planCacheEntries = 0;
-
-    /**
-     * Auto-knee probe-scheduler totals (all zero in grid mode):
-     * probe executions issued, how many of those were speculative,
-     * the speculative split into consumed vs mispredicted, and
-     * acquires that found a finished result waiting. Reporting-only
-     * (speculation depends on pool timing) and never serialized; the
-     * decided path the cells record is byte-identical regardless.
-     */
-    std::uint64_t probesIssued = 0;
-    std::uint64_t probesSpeculative = 0;
-    std::uint64_t probeSpecUsed = 0;
-    std::uint64_t probeSpecWasted = 0;
-    std::uint64_t probeCacheHits = 0;
 
     /**
      * Sweep-wide observability counters (empty unless the sweep ran
@@ -397,16 +415,11 @@ class ServeSweep
     std::vector<ServeJobClass> classes_;   ///< resolved classes
     std::vector<KernelTrace> traces_;      ///< per-class, scaled
     std::vector<Bytes> minGpu_;            ///< per-class floors
-    std::vector<TraceRequest> traceReqs_;  ///< ArrivalKind::Trace only
-    std::vector<std::size_t> traceClass_;  ///< class of each trace req
+    std::vector<ServeRequest> traced_;     ///< ArrivalKind::Trace only
 
     /** Sweep-scoped compile cache (spec.sweepPlanCache); null = off. */
     std::unique_ptr<SweepPlanCache> ownedPlanCache_;
     SweepPlanCache* planCache_ = nullptr;
-
-    /** The offered request sequence at @p rate (req/s or trace
-     *  multiplier); identical class sequence at every rate. */
-    std::vector<ServeRequest> requestsAtRate(double rate) const;
 
     /** Per-design unloaded baselines (the SLO reference). */
     std::vector<std::vector<ServeClassBaseline>>

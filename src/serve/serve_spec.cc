@@ -8,9 +8,6 @@
 
 namespace g10 {
 
-namespace {
-
-/** Fill in a class's defaults: the paper batch and "<model>-<batch>". */
 ServeJobClass
 resolvedClass(ServeJobClass cls)
 {
@@ -21,6 +18,8 @@ resolvedClass(ServeJobClass cls)
                    std::to_string(cls.batchSize);
     return cls;
 }
+
+namespace {
 
 const SpecKey<ServeJobClass> kClassAttributes[] = {
     {"batch",
@@ -50,7 +49,7 @@ const SpecKey<ServeScenario> kScenarioKeys[] = {
          auto attrs = e.attributes(1, &words, "at least a model name",
                                    "class");
          ServeJobClass cls;
-         cls.model = modelKindFromName(words[0]);
+         cls.model = modelKindAt(e, words[0]);
          applyAttributes(attrs, kClassAttributes, &cls);
          s->classes.push_back(resolvedClass(cls));
      }},

@@ -46,6 +46,10 @@ struct ServeJobClass
     double weight = 1.0;
 };
 
+/** @p cls with its defaults filled in: the paper batch when
+ *  batchSize <= 0, and the name "<model>-<batch>" when empty. */
+ServeJobClass resolvedClass(ServeJobClass cls);
+
 /**
  * How the serving node divides its memory among concurrent jobs.
  *

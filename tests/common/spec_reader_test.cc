@@ -300,6 +300,17 @@ allBadInputs()
          "batch must be >= 1"},
         {"trace_req_decreasing", T, "req = 2 BERT\nreq = 1 BERT\n", 2,
          "non-decreasing"},
+        // Unknown model names in payload lines.
+        {"serve_class_unknown_model", S, "class = AlexNet\n", 1,
+         "unknown model 'AlexNet' (expected BERT/ViT/"},
+        {"fleet_class_unknown_model", F, "# x\nclass = AlexNet batch=4\n",
+         2, "unknown model 'AlexNet'"},
+        {"fleet_node_families_unknown_model", F,
+         "node = n0 families=BERT,AlexNet\n", 1, "unknown model 'AlexNet'"},
+        {"mix_job_unknown_model", M, "job = AlexNet\n", 1,
+         "unknown model 'AlexNet'"},
+        {"trace_req_unknown_model", T, "req = 1 AlexNet\n", 1,
+         "unknown model 'AlexNet'"},
     };
     out.insert(out.end(), more.begin(), more.end());
     return out;

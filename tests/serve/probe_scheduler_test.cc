@@ -1,6 +1,6 @@
 /** @file Speculative probe scheduler: KneeCursor replay fidelity
- *  against an inline sequential-reference oracle, probe-cache
- *  memoization semantics, spec-fingerprint identity, speculation
+ *  against an inline sequential-reference oracle, probe memoization
+ *  semantics, spec-fingerprint identity, speculation
  *  accounting invariants, and byte-identity of full sweep documents
  *  with speculation on vs off across pool sizes. */
 
@@ -147,7 +147,6 @@ TEST(KneeCursor, ZeroBudgetIsDoneBeforeTheFirstProbe)
 TEST(ProbeKey, OrderingDistinguishesEveryField)
 {
     ProbeKey a;
-    a.specFp = 7;
     a.lane = 1;
     a.rateBits = rateBitsOf(0.5);
 
@@ -155,12 +154,11 @@ TEST(ProbeKey, OrderingDistinguishesEveryField)
     EXPECT_FALSE(a < b);
     EXPECT_FALSE(b < a);
 
-    for (int field = 0; field < 3; ++field) {
+    for (int field = 0; field < 2; ++field) {
         ProbeKey c = a;
         switch (field) {
-          case 0: c.specFp = 8; break;
-          case 1: c.lane = 2; break;
-          case 2: c.rateBits = rateBitsOf(0.25); break;
+          case 0: c.lane = 2; break;
+          case 1: c.rateBits = rateBitsOf(0.25); break;
         }
         EXPECT_TRUE(a < c || c < a) << "field " << field;
     }
@@ -168,12 +166,15 @@ TEST(ProbeKey, OrderingDistinguishesEveryField)
 
 TEST(ExperimentEngineSubmit, TryRunOneDrainsQueueWhileWorkersAreBusy)
 {
-    ExperimentEngine engine(1);
-
-    // Park the only worker on a gate so the queue state is ours.
+    // Everything the tasks touch outlives the engine, whose destructor
+    // joins the worker still returning from gate.wait().
     std::promise<void> release;
     std::shared_future<void> gate(release.get_future());
     std::atomic<int> started{0};
+    std::atomic<int> ran{0};
+    ExperimentEngine engine(1);
+
+    // Park the only worker on a gate so the queue state is ours.
     engine.submit([&] {
         started.fetch_add(1);
         gate.wait();
@@ -183,7 +184,6 @@ TEST(ExperimentEngineSubmit, TryRunOneDrainsQueueWhileWorkersAreBusy)
 
     EXPECT_FALSE(engine.tryRunOne());  // queue empty, worker busy
 
-    std::atomic<int> ran{0};
     engine.submit([&] { ran.fetch_add(1); });
     EXPECT_TRUE(engine.tryRunOne());  // caller pitch-in drains it
     EXPECT_EQ(ran.load(), 1);
@@ -191,10 +191,9 @@ TEST(ExperimentEngineSubmit, TryRunOneDrainsQueueWhileWorkersAreBusy)
     release.set_value();
 }
 
-TEST(ProbeCache, SameKeyResolvesToTheSameImmutableResult)
+TEST(ProbeScheduler, SameKeyResolvesToTheSameImmutableResult)
 {
     ExperimentEngine engine(1);  // < 2 workers: speculation inert
-    ProbeCache cache;
     std::atomic<int> calls{0};
 
     ProbeScheduler::ProbeFn fn = [&](std::uint32_t lane, double rate) {
@@ -209,50 +208,29 @@ TEST(ProbeCache, SameKeyResolvesToTheSameImmutableResult)
         return pr;
     };
 
-    const std::uint64_t fp = 0x5eedULL;
     KneeCursor cur(0.5, 0.0, 4);
-    std::shared_ptr<const ProbeResult> first;
-    {
-        ProbeScheduler sched(engine, cache, fp, fn, true);
-        first = sched.acquire(0, cur);
-        ASSERT_NE(first, nullptr);
-        EXPECT_TRUE(first->sustained);
-        EXPECT_EQ(calls.load(), 1);
-        EXPECT_EQ(cache.entries(), 1u);
+    ProbeScheduler sched(engine, fn, true);
+    std::shared_ptr<const ProbeResult> first = sched.acquire(0, cur);
+    ASSERT_NE(first, nullptr);
+    EXPECT_TRUE(first->sustained);
+    EXPECT_EQ(calls.load(), 1);
+    ProbeStats s = sched.stats();
+    EXPECT_EQ(s.decided, 1u);
+    EXPECT_EQ(s.issued, 1u);
+    EXPECT_EQ(s.speculated, 0u);  // 1-worker pool: inert
 
-        const ProbeStats s = sched.stats();
-        EXPECT_EQ(s.decided, 1u);
-        EXPECT_EQ(s.issued, 1u);
-        EXPECT_EQ(s.speculated, 0u);  // 1-worker pool: inert
-    }
-
-    // A second search over the same cache re-reads the memoized probe:
-    // pointer-identical result, no new simulation.
-    {
-        ProbeScheduler sched(engine, cache, fp, fn, true);
-        auto again = sched.acquire(0, cur);
-        EXPECT_EQ(again.get(), first.get());
-        EXPECT_EQ(calls.load(), 1);
-        EXPECT_EQ(sched.stats().cacheHits, 1u);
-    }
+    // Re-reading the rate returns the memoized probe: pointer-identical
+    // result, no new simulation.
+    auto again = sched.acquire(0, cur);
+    EXPECT_EQ(again.get(), first.get());
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(sched.stats().cacheHits, 1u);
 
     // A different lane is a different probe, even at the same rate.
-    {
-        ProbeScheduler sched(engine, cache, fp, fn, true);
-        auto other = sched.acquire(1, cur);
-        EXPECT_NE(other.get(), first.get());
-        EXPECT_EQ(calls.load(), 2);
-        EXPECT_EQ(cache.entries(), 2u);
-    }
-
-    // A different spec fingerprint never collides either.
-    {
-        ProbeScheduler sched(engine, cache, fp + 1, fn, true);
-        auto other = sched.acquire(0, cur);
-        EXPECT_NE(other.get(), first.get());
-        EXPECT_EQ(calls.load(), 3);
-        EXPECT_EQ(cache.entries(), 3u);
-    }
+    auto other = sched.acquire(1, cur);
+    EXPECT_NE(other.get(), first.get());
+    EXPECT_EQ(calls.load(), 2);
+    EXPECT_EQ(sched.stats().issued, 2u);
 }
 
 TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
@@ -263,7 +241,6 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
     for (unsigned workers : {1u, 2u, 8u}) {
         SCOPED_TRACE(::testing::Message() << "workers=" << workers);
         ExperimentEngine engine(workers);
-        ProbeCache cache;
         std::atomic<int> calls{0};
         ProbeScheduler::ProbeFn fn = [&](std::uint32_t, double rate) {
             calls.fetch_add(1);
@@ -275,7 +252,7 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
         ProbeStats stats;
         SearchLog got;
         {
-            ProbeScheduler sched(engine, cache, 0xabcULL, fn, true);
+            ProbeScheduler sched(engine, fn, true);
             KneeCursor cur(0.05, 0.0, 10);
             while (!cur.done()) {
                 auto res = sched.acquire(0, cur);
@@ -303,7 +280,6 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
         EXPECT_EQ(stats.speculated,
                   stats.speculationUsed + stats.speculationWasted);
         EXPECT_EQ(stats.issued, stats.decided + stats.speculationWasted);
-        EXPECT_EQ(cache.entries(), stats.issued);
         if (workers < 2) {
             EXPECT_EQ(stats.speculated, 0u);
             EXPECT_EQ(stats.issued, stats.decided);
@@ -314,7 +290,6 @@ TEST(ProbeScheduler, FullWalkAccountingHoldsAcrossPoolSizes)
 TEST(ProbeScheduler, SpeculationOffNeverIssuesAheadOfTheDecision)
 {
     ExperimentEngine engine(8);
-    ProbeCache cache;
     std::atomic<int> calls{0};
     ProbeScheduler::ProbeFn fn = [&](std::uint32_t, double rate) {
         calls.fetch_add(1);
@@ -323,7 +298,7 @@ TEST(ProbeScheduler, SpeculationOffNeverIssuesAheadOfTheDecision)
         return pr;
     };
 
-    ProbeScheduler sched(engine, cache, 0xdefULL, fn, false);
+    ProbeScheduler sched(engine, fn, false);
     KneeCursor cur(0.05, 0.0, 8);
     while (!cur.done()) {
         auto res = sched.acquire(0, cur);

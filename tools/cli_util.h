@@ -49,6 +49,10 @@ struct CliArgs
     /** `--metrics`: print a g10.metrics.v1 document after the report. */
     bool metrics = false;
 
+    /** `--workers N` (tools that run an engine pool): pool size in
+     *  [1, kMaxWorkers]; 0 = one per hardware thread. */
+    unsigned workers = 0;
+
     /** Tool-specific boolean flags seen (e.g. "--mix", "--demo"). */
     std::set<std::string> flags;
 
@@ -93,18 +97,23 @@ struct CliArgs
     }
 };
 
+/** Largest `--workers` value: more threads than any host has cores,
+ *  and few enough to start. */
+constexpr unsigned kMaxWorkers = 1024;
+
 /**
  * Parse argv. Flags may appear in any position; `--format`, `--trace`,
  * and `--log-level` consume the next argument (fatal when missing or
- * invalid; `--log-level` takes effect immediately), as does every
- * flag in @p valueFlags. Options outside the common set, @p boolFlags,
- * and @p valueFlags set `error` instead of aborting so the tool can
- * print its own usage text.
+ * invalid; `--log-level` takes effect immediately), as do `--workers`
+ * when @p workersFlag is set and every flag in @p valueFlags. Options
+ * outside the common set, @p boolFlags, and @p valueFlags set `error`
+ * instead of aborting so the tool can print its own usage text.
  */
 inline CliArgs
 parseCliArgs(int argc, char** argv,
              const std::set<std::string>& boolFlags = {},
-             const std::set<std::string>& valueFlags = {})
+             const std::set<std::string>& valueFlags = {},
+             bool workersFlag = false)
 {
     CliArgs out;
     for (int i = 1; i < argc; ++i) {
@@ -123,6 +132,11 @@ parseCliArgs(int argc, char** argv,
             out.tracePath = argv[++i];
         } else if (arg == "--metrics") {
             out.metrics = true;
+        } else if (arg == "--workers" && workersFlag) {
+            if (i + 1 >= argc)
+                fatal("--workers needs a value");
+            out.workers = static_cast<unsigned>(
+                cliEntry(arg, argv[++i]).integer(1, kMaxWorkers));
         } else if (arg == "--log-level") {
             if (i + 1 >= argc)
                 fatal("--log-level needs a value "

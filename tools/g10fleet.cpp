@@ -26,7 +26,6 @@
  * --log-level silent|warn|info|debug.
  */
 
-#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -110,7 +109,7 @@ main(int argc, char** argv)
 
     tools::CliArgs args = tools::parseCliArgs(
         argc, argv, {"--demo", "--forensics"},
-        {"--workers", "--placement", "--speculate"});
+        {"--placement", "--speculate"}, /*workersFlag=*/true);
     if (args.help)
         return usage(std::cout, 0);
     if (!args.error.empty()) {
@@ -141,11 +140,6 @@ main(int argc, char** argv)
             placementKindFromName, "jsq | planaware | affinity")};
     if (args.has("--speculate"))
         spec.speculativeProbes = args.entry("--speculate").onOff();
-    // 0 = one worker per hardware thread.
-    unsigned workers = 0;
-    if (args.has("--workers"))
-        workers = static_cast<unsigned>(
-            args.entry("--workers").integer(1, UINT_MAX));
 
     if (args.format == ReportFormat::Table) {
         std::cout << "# g10fleet: " << spec.nodes.size() << " nodes x "
@@ -161,7 +155,7 @@ main(int argc, char** argv)
     }
 
     FleetSim fleet(spec);
-    ExperimentEngine engine(workers);
+    ExperimentEngine engine(args.workers);
 
     // --trace streams straight to disk (FileTraceSink): a fleet sweep
     // can emit far more events than one serving cell.

@@ -22,7 +22,6 @@
  * --log-level silent|warn|info|debug.
  */
 
-#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -107,7 +106,8 @@ main(int argc, char** argv)
 
     tools::CliArgs args = tools::parseCliArgs(
         argc, argv, {"--demo"},
-        {"--workers", "--partition", "--sweep-cache", "--speculate"});
+        {"--partition", "--sweep-cache", "--speculate"},
+        /*workersFlag=*/true);
     if (args.help)
         return usage(std::cout, 0);
     if (!args.error.empty()) {
@@ -140,11 +140,6 @@ main(int argc, char** argv)
         spec.sweepPlanCache = args.entry("--sweep-cache").onOff();
     if (args.has("--speculate"))
         spec.speculativeProbes = args.entry("--speculate").onOff();
-    // 0 = one worker per hardware thread.
-    unsigned workers = 0;
-    if (args.has("--workers"))
-        workers = static_cast<unsigned>(
-            args.entry("--workers").integer(1, UINT_MAX));
 
     if (args.format == ReportFormat::Table) {
         std::cout << "# g10serve: " << spec.designs.size()
@@ -162,7 +157,7 @@ main(int argc, char** argv)
     }
 
     ServeSweep sweep(spec);
-    ExperimentEngine engine(workers);
+    ExperimentEngine engine(args.workers);
 
     MemoryTraceSink sink;
     ServeObsRequest obs;

@@ -103,14 +103,14 @@ struct ConfigFile
     ExperimentConfig cfg;
     unsigned scale = 16;
     std::string tracePath;
-    std::string model = "ResNet152";
+    std::optional<SpecEntry> model;  ///< unset: ResNet152
     std::optional<SpecEntry> batch;  ///< unset: the model's paper batch
     SystemConfig platform;           ///< unscaled, with the file's keys
     int listing = 0;
 };
 
 const SpecKey<ConfigFile> kConfigKeys[] = {
-    {"model", [](const SpecEntry& e, ConfigFile* c) { c->model = e.value; }},
+    {"model", [](const SpecEntry& e, ConfigFile* c) { c->model = e; }},
     {"trace",
      [](const SpecEntry& e, ConfigFile* c) { c->tracePath = e.value; }},
     {"batch", [](const SpecEntry& e, ConfigFile* c) { c->batch = e; }},
@@ -238,7 +238,8 @@ runConfig(const std::string& path, const tools::CliArgs& args)
                  "reports %s",
                  trace.modelName().c_str(), modelName(cfg.model));
     } else {
-        cfg.model = modelKindFromName(file.model);
+        cfg.model = file.model ? modelKindAt(*file.model, file.model->value)
+                               : ModelKind::ResNet152;
         cfg.batchSize =
             file.batch ? static_cast<int>(file.batch->integer(1, 1 << 24))
                        : paperBatchSize(cfg.model);
