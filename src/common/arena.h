@@ -55,20 +55,6 @@ class Arena : public std::pmr::memory_resource
         end_ = chunks_.empty() ? nullptr
                                : chunks_.back().data.get() +
                 chunks_.back().size;
-        bytesInUse_ = 0;
-    }
-
-    /** Bytes handed out since construction or the last reset(). */
-    std::size_t bytesInUse() const { return bytesInUse_; }
-
-    /** Total chunk capacity currently owned. */
-    std::size_t
-    bytesReserved() const
-    {
-        std::size_t total = 0;
-        for (const Chunk& c : chunks_)
-            total += c.size;
-        return total;
     }
 
   private:
@@ -90,7 +76,6 @@ class Arena : public std::pmr::memory_resource
             aligned = (p + alignment - 1) & ~(alignment - 1);
         }
         cur_ = reinterpret_cast<std::byte*>(aligned + bytes);
-        bytesInUse_ += bytes;
         return reinterpret_cast<void*>(aligned);
     }
 
@@ -126,7 +111,6 @@ class Arena : public std::pmr::memory_resource
     std::byte* cur_ = nullptr;
     std::byte* end_ = nullptr;
     std::size_t nextChunkBytes_;
-    std::size_t bytesInUse_ = 0;
 };
 
 }  // namespace g10

@@ -8,7 +8,6 @@
 #include "policies/registry.h"
 #include "serve/plan_cache.h"
 #include "serve/probe_scheduler.h"
-#include "sim/runtime/sim_runtime.h"
 
 namespace g10 {
 
@@ -38,51 +37,41 @@ FleetResult::allSucceeded() const
     return true;
 }
 
-FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
+namespace {
+
+/** @p spec after the fleet-level checks (fatal on failure). */
+const FleetSpec&
+checkedFleetSpec(const FleetSpec& spec)
 {
-    if (spec_.nodes.empty())
+    if (spec.nodes.empty())
         fatal("fleet needs at least one node");
-    if (spec_.placements.empty())
+    if (spec.placements.empty())
         fatal("fleet needs at least one placement policy");
-    if (spec_.classes.empty())
+    if (spec.classes.empty())
         fatal("fleet needs at least one job class");
-    if (spec_.requests < 1)
+    if (spec.requests < 1)
         fatal("fleet needs requests >= 1");
-    if (spec_.rate <= 0.0)
+    if (spec.rate <= 0.0)
         fatal("fleet needs rate > 0");
-    if (spec_.arrival.kind == ArrivalKind::Trace)
+    if (spec.arrival.kind == ArrivalKind::Trace)
         fatal("fleet arrivals must be poisson or bursty");
-    PolicyRegistry::instance().resolve(spec_.design);  // fatal on unknown
-    for (std::size_t n = 0; n < spec_.nodes.size(); ++n) {
-        const int slots = spec_.nodes[n].slots > 0
-                              ? spec_.nodes[n].slots
-                              : spec_.slots;
+    PolicyRegistry::instance().resolve(spec.design);  // fatal on unknown
+    for (std::size_t n = 0; n < spec.nodes.size(); ++n) {
+        const int slots = spec.nodes[n].slots > 0 ? spec.nodes[n].slots
+                                                  : spec.slots;
         if (slots < 1)
             fatal("fleet node '%s' needs slots >= 1",
-                  spec_.nodes[n].name.c_str());
+                  spec.nodes[n].name.c_str());
     }
+    return spec;
+}
 
-    for (const ServeJobClass& cls : spec_.classes)
-        classes_.push_back(resolvedClass(cls));
+}  // namespace
 
-    traces_.reserve(classes_.size());
-    for (const ServeJobClass& cls : classes_)
-        traces_.push_back(buildModelScaled(cls.model, cls.batchSize,
-                                           spec_.scaleDown));
-
-    // Per-class capacity floors and plan service estimates, once per
-    // fleet. The page size and launch overhead are platform constants
-    // (scaling divides capacities only), so both are node-independent.
-    const SystemConfig scaled = spec_.sys.scaledDown(spec_.scaleDown);
-    floors_.reserve(traces_.size());
-    serviceEst_.reserve(traces_.size());
-    for (std::size_t c = 0; c < traces_.size(); ++c) {
-        floors_.push_back(
-            serveClassGpuFloor(traces_[c], scaled.pageBytes));
-        serviceEst_.push_back(planServiceEstimateNs(
-            traces_[c], scaled, classes_[c].iterations));
-    }
-
+FleetSim::FleetSim(const FleetSpec& spec)
+    : spec_(checkedFleetSpec(spec)), workload_(spec_),
+      planCache_(std::make_unique<SweepPlanCache>())
+{
     // Per-node ServeSpecs, in stable storage: ServeSim keeps a
     // reference to its spec for the lifetime of the cell.
     nodeSpecs_.reserve(spec_.nodes.size());
@@ -95,54 +84,13 @@ FleetSim::FleetSim(const FleetSpec& spec) : spec_(spec)
     // Auto-knee probes redraw it at each probed rate: the class
     // sequence stays identical — only arrival spacing changes.
     stream_ = requestStream(
-        spec_, classes_,
+        spec_, workload_,
         spec_.ratesAuto ? spec_.resolvedRateLo() : spec_.rate);
 
-    router_ = std::make_unique<Router>(spec_, classes_, serviceEst_,
-                                       floors_);
-
-    for (const ServeSpec& ns : nodeSpecs_) {
-        if (ns.sweepPlanCache) {
-            planCache_ = std::make_unique<SweepPlanCache>();
-            break;
-        }
-    }
+    router_ = std::make_unique<Router>(spec_, workload_);
 }
 
 FleetSim::~FleetSim() = default;
-
-std::vector<std::vector<ServeClassBaseline>>
-FleetSim::computeBaselines(ExperimentEngine& engine) const
-{
-    // Each node's SLO reference: every class alone on one idle
-    // partition slot *of that node* — heterogeneous nodes have
-    // heterogeneous unloaded latencies, and a node's attainment is
-    // judged against what it could do unloaded.
-    const std::size_t nn = spec_.nodes.size();
-    const std::size_t nc = classes_.size();
-    std::vector<std::vector<ServeClassBaseline>> baselines(
-        nn, std::vector<ServeClassBaseline>(nc));
-    engine.parallelFor(nn * nc, [&](std::size_t i) {
-        const std::size_t n = i / nc;
-        const std::size_t c = i % nc;
-        const ServeSpec& ns = nodeSpecs_[n];
-        const SystemConfig nodeScaled = ns.sys.scaledDown(ns.scaleDown);
-        const SystemConfig slotSys = partitionShare(
-            nodeScaled, 1.0 / static_cast<double>(ns.slots));
-        DesignInstance di = PolicyRegistry::instance().make(
-            spec_.design, traces_[c], slotSys);
-        RunConfig rc;
-        rc.sys = slotSys;
-        rc.iterations = classes_[c].iterations;
-        rc.uvmExtension = di.uvmExtension;
-        rc.seed = ns.seed;
-        SimRuntime rt(traces_[c], *di.policy, rc);
-        ExecStats st = rt.run();
-        baselines[n][c].unloadedNs = rt.now();
-        baselines[n][c].failed = st.failed;
-    });
-    return baselines;
-}
 
 FleetMetrics
 FleetSim::aggregate(const FleetPlacementResult& placement,
@@ -233,12 +181,26 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
 {
     FleetResult out;
     out.spec = spec_;
-    for (const ServeJobClass& cls : classes_)
+    for (const ServeJobClass& cls : workload_.classes)
         out.classNames.push_back(cls.name);
     for (const FleetNodeSpec& node : spec_.nodes)
         out.nodeNames.push_back(node.name);
 
-    out.baselines = computeBaselines(engine);
+    // Each node's SLO reference: every class alone on one idle
+    // partition slot *of that node*, with the node's seed —
+    // heterogeneous nodes have heterogeneous unloaded latencies, and
+    // a node's attainment is judged against what it could do unloaded.
+    const std::size_t nc = workload_.classes.size();
+    out.baselines.assign(spec_.nodes.size(),
+                         std::vector<ServeClassBaseline>(nc));
+    engine.parallelFor(spec_.nodes.size() * nc, [&](std::size_t i) {
+        const ServeSpec& ns = nodeSpecs_[i / nc];
+        out.baselines[i / nc][i % nc] = unloadedBaseline(
+            spec_.design, workload_, i % nc, ns.scaleDown,
+            partitionShare(ns.sys.scaledDown(ns.scaleDown),
+                           1.0 / static_cast<double>(ns.slots)),
+            ns.seed, planCache_.get());
+    });
 
     if (spec_.ratesAuto) {
         runKnee(engine, obs, &out);
@@ -275,13 +237,11 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
             cell = idleCell(spec_.design, spec_.rate);
             return;
         }
-        ServeSim sim(nodeSpecs_[n], spec_.design, spec_.rate, traces_,
-                     classes_, floors_, reqs, out.baselines[n]);
+        ServeSim sim(nodeSpecs_[n], spec_.design, spec_.rate, workload_,
+                     reqs, out.baselines[n]);
         sim.setObservers(
             sink, obs.collectCounters ? &regs[p * nn + n] : nullptr);
-        sim.setPlanCache(nodeSpecs_[n].sweepPlanCache
-                             ? planCache_.get()
-                             : nullptr);
+        sim.setPlanCache(planCache_.get());
         cell = sim.run();
     };
 
@@ -334,7 +294,7 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
     auto probeFn = [&](std::uint32_t p, double rate) -> ProbeResult {
         ProbeResult pr;
         std::vector<ServeRequest> stream =
-            requestStream(spec_, classes_, rate);
+            requestStream(spec_, workload_, rate);
         pr.firstArrivalNs = stream.front().arrivalNs;
         RoutedStream routed =
             router_->route(spec_.placements[p], stream);
@@ -350,16 +310,14 @@ FleetSim::runKnee(ExperimentEngine& engine, const FleetObsRequest& obs,
                 cell = idleCell(spec_.design, rate);
                 continue;
             }
-            ServeSim sim(nodeSpecs_[n], spec_.design, rate, traces_,
-                         classes_, floors_, reqs, out->baselines[n]);
+            ServeSim sim(nodeSpecs_[n], spec_.design, rate, workload_,
+                         reqs, out->baselines[n]);
             PidOffsetSink offset(obs.sink,
                                  static_cast<int>(n) * kFleetPidStride);
             sim.setObservers(
                 traced ? &offset : nullptr,
                 obs.collectCounters ? &pr.counters : nullptr);
-            sim.setPlanCache(nodeSpecs_[n].sweepPlanCache
-                                 ? planCache_.get()
-                                 : nullptr);
+            sim.setPlanCache(planCache_.get());
             sim.setArena(arena.get());
             cell = sim.run();
             arena->reset();

@@ -183,7 +183,7 @@ class FleetSim
     /** Resolved job classes (batch sizes and names defaulted). */
     const std::vector<ServeJobClass>& classes() const
     {
-        return classes_;
+        return workload_.classes;
     }
 
     /** Node @p i's resolved ServeSpec (seed split from the fleet). */
@@ -200,24 +200,16 @@ class FleetSim
 
   private:
     FleetSpec spec_;
-    std::vector<ServeJobClass> classes_;  ///< resolved classes
-    std::vector<KernelTrace> traces_;     ///< per-class, scaled
-    std::vector<Bytes> floors_;           ///< per-class capacity floors
-    std::vector<TimeNs> serviceEst_;      ///< per-class plan estimates
-    std::vector<ServeSpec> nodeSpecs_;    ///< stable: ServeSim holds refs
-    std::vector<ServeRequest> stream_;    ///< the shared fleet stream
+    ServeWorkload workload_;            ///< one for every node
+    std::vector<ServeSpec> nodeSpecs_;  ///< stable: ServeSim holds refs
+    std::vector<ServeRequest> stream_;  ///< the shared fleet stream
     std::unique_ptr<Router> router_;
 
     /** One compile cache for the whole fleet: identical nodes compile
      *  each (model, capacity, seed-chain) plan once, and every
-     *  placement's grid reuses it (keys fingerprint the node's system
-     *  config, so heterogeneous nodes coexist). Null when every node
-     *  spec turned sweep_cache off. */
+     *  baseline, placement and knee probe reuses it (keys fingerprint
+     *  the node's system config, so heterogeneous nodes coexist). */
     std::unique_ptr<SweepPlanCache> planCache_;
-
-    /** Per-node unloaded baselines [node][class]. */
-    std::vector<std::vector<ServeClassBaseline>>
-    computeBaselines(ExperimentEngine& engine) const;
 
     /** Aggregate one placement's node cells into fleet metrics.
      *  @p firstArrival anchors the makespan: the shared stream's

@@ -23,18 +23,9 @@ prune(std::vector<T>* inflight, TimeNs now, DepOf dep)
 
 }  // namespace
 
-Router::Router(const FleetSpec& spec,
-               const std::vector<ServeJobClass>& classes,
-               const std::vector<TimeNs>& serviceEstNs,
-               const std::vector<Bytes>& footprint)
-    : spec_(spec), classes_(classes), serviceEst_(serviceEstNs),
-      footprint_(footprint)
+Router::Router(const FleetSpec& spec, const ServeWorkload& workload)
+    : spec_(spec), work_(workload)
 {
-    if (serviceEst_.size() != classes_.size() ||
-        footprint_.size() != classes_.size())
-        panic("Router: per-class inputs disagree (%zu classes, %zu "
-              "estimates, %zu footprints)",
-              classes_.size(), serviceEst_.size(), footprint_.size());
     if (spec_.nodes.empty())
         panic("Router: fleet has no nodes");
 
@@ -122,7 +113,7 @@ Router::routeJsq(const std::vector<ServeRequest>& stream) const
         const double depth =
             static_cast<double>(inflight[best].size()) /
             static_cast<double>(slots_[best]);
-        const TimeNs est = serviceEst_[r.classIndex];
+        const TimeNs est = work_.serviceEstNs[r.classIndex];
         inflight[best].push_back(
             r.arrivalNs +
             static_cast<TimeNs>(static_cast<double>(est) *
@@ -148,7 +139,7 @@ Router::routePlanAware(const std::vector<ServeRequest>& stream) const
 
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const ServeRequest& r = stream[i];
-        const Bytes fp = footprint_[r.classIndex];
+        const Bytes fp = work_.floors[r.classIndex];
         for (std::size_t n = 0; n < nn; ++n) {
             std::vector<InFlight>& fl = inflight[n];
             fl.erase(std::remove_if(fl.begin(), fl.end(),
@@ -188,7 +179,7 @@ Router::routePlanAware(const std::vector<ServeRequest>& stream) const
         const double depth =
             static_cast<double>(inflight[best].size()) /
             static_cast<double>(slots_[best]);
-        const TimeNs est = serviceEst_[r.classIndex];
+        const TimeNs est = work_.serviceEstNs[r.classIndex];
         InFlight e;
         e.dep = r.arrivalNs +
                 static_cast<TimeNs>(static_cast<double>(est) *
@@ -228,7 +219,7 @@ Router::routeAffinity(const std::vector<ServeRequest>& stream) const
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const ServeRequest& r = stream[i];
         const int key =
-            static_cast<int>(classes_[r.classIndex].model);
+            static_cast<int>(work_.classes[r.classIndex].model);
         auto it = home.find(key);
         if (it == home.end()) {
             std::size_t best = 0;

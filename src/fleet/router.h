@@ -42,28 +42,16 @@ class Router
 {
   public:
     /**
-     * @param spec         the fleet (node shapes and defaults)
-     * @param classes      resolved job classes of the stream
-     * @param serviceEstNs per-class plan service estimates
-     *                     (planServiceEstimateNs)
-     * @param footprint    per-class compiled working-set footprints
-     *                     (serveClassGpuFloor)
+     * @param spec     the fleet (node shapes and defaults)
+     * @param workload the stream's resolved classes with their plan
+     *                 service estimates and compiled working-set
+     *                 footprints (the capacity floors)
      */
-    Router(const FleetSpec& spec,
-           const std::vector<ServeJobClass>& classes,
-           const std::vector<TimeNs>& serviceEstNs,
-           const std::vector<Bytes>& footprint);
+    Router(const FleetSpec& spec, const ServeWorkload& workload);
 
     /** Split @p stream across the nodes under @p kind. */
     RoutedStream route(PlacementKind kind,
                        const std::vector<ServeRequest>& stream) const;
-
-    /** Per-node scaled GPU bytes of one partition slot (what
-     *  plan-aware placement checks footprints against). */
-    const std::vector<Bytes>& slotGpuBytes() const
-    {
-        return slotGpu_;
-    }
 
   private:
     RoutedStream
@@ -74,9 +62,7 @@ class Router
     routeAffinity(const std::vector<ServeRequest>& stream) const;
 
     const FleetSpec& spec_;
-    const std::vector<ServeJobClass>& classes_;
-    const std::vector<TimeNs>& serviceEst_;
-    const std::vector<Bytes>& footprint_;
+    const ServeWorkload& work_;
 
     std::vector<int> slots_;       ///< per node, after inheritance
     std::vector<Bytes> totalGpu_;  ///< per node, scaled machine bytes

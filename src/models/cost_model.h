@@ -49,9 +49,6 @@ class CostModel
     /** Fraction of peak DRAM bandwidth this operator class achieves. */
     static double memEfficiency(OpKind kind);
 
-    double peakFlops() const { return peakFlops_; }
-    double hbmGBps() const { return hbmGBps_; }
-
   private:
     double peakFlops_ = 19.5e12;  // A100 FP32
     double hbmGBps_ = 1555.0;     // A100 40GB HBM2e

@@ -137,7 +137,6 @@ class SeqBuilder
     Bytes seqBytes(int dim) const;
 
     int batch() const { return n_; }
-    int seqLen() const { return s_; }
     int hidden() const { return d_; }
 
   private:

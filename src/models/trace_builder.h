@@ -155,9 +155,6 @@ class TraceBuilder
     /** Sum of sizes of the given tensors. */
     Bytes bytesOf(const std::vector<TensorId>& ids) const;
 
-    /** Gradient tensor for @p t, creating on first request. */
-    TensorId gradFor(TensorId t, TensorKind kind);
-
     /** Accumulate partial gradient @p partial into t's gradient slot. */
     void accumulateGrad(TensorId t, TensorId partial);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/arena.h"
-#include "common/event_queue.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "engine/machine.h"
@@ -160,20 +159,71 @@ pctNs(const Distribution& d, double p)
 
 }  // namespace
 
+ServeWorkload::ServeWorkload(const ServeScenario& scenario)
+{
+    if (scenario.arrival.kind == ArrivalKind::Trace) {
+        // Job classes are derived from the trace: one per distinct
+        // (model, batch, iterations, priority) request shape.
+        for (const TraceRequest& tr :
+             parseArrivalTrace(scenario.arrival.tracePath)) {
+            ServeJobClass shape;
+            shape.model = tr.model;
+            shape.batchSize = tr.batchSize;
+            shape.iterations = tr.iterations;
+            shape.priority = tr.priority;
+            shape = resolvedClass(shape);
+            std::size_t ci = 0;
+            while (ci < classes.size() &&
+                   !(classes[ci].model == shape.model &&
+                     classes[ci].batchSize == shape.batchSize &&
+                     classes[ci].iterations == shape.iterations &&
+                     classes[ci].priority == shape.priority))
+                ++ci;
+            if (ci == classes.size())
+                classes.push_back(shape);
+            traced.push_back({tr.arrivalNs, ci});
+        }
+    } else {
+        if (scenario.classes.empty())
+            fatal("serve sweep needs at least one job class");
+        for (const ServeJobClass& cls : scenario.classes)
+            classes.push_back(resolvedClass(cls));
+    }
+
+    // Per-class elastic capacity floors: the largest kernel working
+    // set (+12.5% headroom for in-flight transfers) — a lease below it
+    // is guaranteed to hit the hard-OOM path, so the elastic policies
+    // never shrink or grant under it. Alongside, the SJF key and the
+    // router's backlog estimate.
+    const SystemConfig scaled =
+        scenario.sys.scaledDown(scenario.scaleDown);
+    traces.reserve(classes.size());
+    floors.reserve(classes.size());
+    serviceEstNs.reserve(classes.size());
+    for (const ServeJobClass& cls : classes) {
+        traces.push_back(buildModelScaled(cls.model, cls.batchSize,
+                                          scenario.scaleDown));
+        floors.push_back(
+            serveClassGpuFloor(traces.back(), scaled.pageBytes));
+        serviceEstNs.push_back(planServiceEstimateNs(
+            traces.back(), scaled, cls.iterations));
+    }
+}
+
 std::vector<ServeRequest>
 requestStream(const ServeScenario& scenario,
-              const std::vector<ServeJobClass>& classes, double rate,
-              const std::vector<ServeRequest>& traced)
+              const ServeWorkload& workload, double rate)
 {
     std::vector<ServeRequest> out;
     if (scenario.arrival.kind == ArrivalKind::Trace) {
-        out = traced;
+        out = workload.traced;
         for (ServeRequest& r : out)
             r.arrivalNs = static_cast<TimeNs>(
                 static_cast<double>(r.arrivalNs) / rate);
         return out;
     }
 
+    const std::vector<ServeJobClass>& classes = workload.classes;
     std::vector<TimeNs> times = generateArrivals(
         scenario.arrival, rate, scenario.requests, scenario.seed);
     std::mt19937_64 picks(scenario.seed + 1);
@@ -197,32 +247,51 @@ requestStream(const ServeScenario& scenario,
     return out;
 }
 
+ServeClassBaseline
+unloadedBaseline(const std::string& design,
+                 const ServeWorkload& workload, std::size_t cls,
+                 unsigned scaleDown, const SystemConfig& slotSys,
+                 std::uint64_t seed, SweepPlanCache* planCache)
+{
+    PlanCache noSeed;  // a cold compile: nothing to warm-start from
+    CompileOutcome oc;
+    DesignInstance di = makeServeInstance(
+        design, workload.traces[cls], workload.classes[cls], scaleDown,
+        slotSys, &noSeed, planCache, &oc);
+    RunConfig rc;
+    rc.sys = slotSys;
+    rc.iterations = workload.classes[cls].iterations;
+    rc.uvmExtension = di.uvmExtension;
+    rc.seed = seed;
+    SimRuntime rt(workload.traces[cls], *di.policy, rc);
+    ExecStats st = rt.run();
+    ServeClassBaseline out;
+    out.unloadedNs = rt.now();
+    out.failed = st.failed;
+    return out;
+}
+
 // ---------------------------------------------------------------------
 // ServeSim: one (design, rate) cell
 // ---------------------------------------------------------------------
 
 ServeSim::ServeSim(const ServeSpec& spec, std::string design,
-                   double rate,
-                   const std::vector<KernelTrace>& traces,
-                   const std::vector<ServeJobClass>& classes,
-                   const std::vector<Bytes>& minGpu,
+                   double rate, const ServeWorkload& workload,
                    std::vector<ServeRequest> requests,
                    const std::vector<ServeClassBaseline>& baselines)
     : spec_(spec), design_(std::move(design)), rate_(rate),
-      traces_(traces), classes_(classes), minGpu_(minGpu),
-      requests_(std::move(requests)), baselines_(baselines)
+      work_(workload), requests_(std::move(requests)),
+      baselines_(baselines)
 {
-    if (traces_.size() != classes_.size())
-        panic("ServeSim: %zu traces for %zu classes", traces_.size(),
-              classes_.size());
-    if (minGpu_.size() != classes_.size())
-        panic("ServeSim: %zu floors for %zu classes", minGpu_.size(),
-              classes_.size());
-    if (baselines_.size() != classes_.size())
+    if (baselines_.size() != work_.classes.size())
         panic("ServeSim: %zu baselines for %zu classes",
-              baselines_.size(), classes_.size());
+              baselines_.size(), work_.classes.size());
     if (requests_.empty())
         panic("ServeSim: no requests offered");
+    for (std::size_t i = 1; i < requests_.size(); ++i)
+        if (requests_[i].arrivalNs < requests_[i - 1].arrivalNs)
+            panic("ServeSim: request %zu arrives before request %zu",
+                  i, i - 1);
 }
 
 ServeCellResult
@@ -275,19 +344,16 @@ ServeSim::run()
     AdmissionQueue queue(spec_.admit, spec_.queueCapacity,
                          spec_.starvationNs);
 
-    // Per-class SJF keys (design-independent, so computed once).
-    std::vector<TimeNs> serviceEst(classes_.size(), 0);
-    for (std::size_t c = 0; c < classes_.size(); ++c)
-        serviceEst[c] = planServiceEstimateNs(traces_[c], scaled,
-                                              classes_[c].iterations);
+    const std::vector<ServeJobClass>& classes = work_.classes;
+    const std::vector<KernelTrace>& traces = work_.traces;
 
-    // Per-class capacity floors (computed once per sweep): clamped to
-    // the whole machine so a class too big for the node is still
-    // admitted alone and fails with the explicit hard OOM — exactly
-    // the static policy's semantics — instead of waiting forever.
-    std::vector<Bytes> minGpu(minGpu_.size(), 0);
-    for (std::size_t c = 0; c < minGpu_.size(); ++c)
-        minGpu[c] = std::min(minGpu_[c], totalGpu);
+    // Per-class capacity floors, clamped to the whole machine so a
+    // class too big for the node is still admitted alone and fails
+    // with the explicit hard OOM — exactly the static policy's
+    // semantics — instead of waiting forever.
+    std::vector<Bytes> minGpu(work_.floors.size(), 0);
+    for (std::size_t c = 0; c < minGpu.size(); ++c)
+        minGpu[c] = std::min(work_.floors[c], totalGpu);
 
     PlanCache planCache;
 
@@ -326,8 +392,8 @@ ServeSim::run()
         const auto* gp =
             static_cast<const G10Policy*>(a.design.policy.get());
         std::shared_ptr<const CompiledPlan> plan = compilePlan(
-            a.familyTag, traces_[a.classIndex],
-            classes_[a.classIndex], spec_.scaleDown, a.lease.sys,
+            a.familyTag, traces[a.classIndex],
+            classes[a.classIndex], spec_.scaleDown, a.lease.sys,
             gp->compiledShared(), planCache_);
         const EvictionSchedule& ns = plan->schedule;
         ++m.replans;
@@ -339,7 +405,7 @@ ServeSim::run()
             tp->warmReplan(static_cast<int>(a.request),
                            ns.warmReplayed, ns.warmDropped,
                            a.rt->now());
-        planCache[static_cast<int>(classes_[a.classIndex].model)] =
+        planCache[static_cast<int>(classes[a.classIndex].model)] =
             plan;
         std::unique_ptr<G10Policy> np =
             makeFamilyPolicy(a.familyTag, std::move(plan));
@@ -542,14 +608,14 @@ ServeSim::run()
 
     auto admit = [&](std::size_t req, TimeNs when) {
         const ServeRequest& r = requests_[req];
-        const ServeJobClass& cls = classes_[r.classIndex];
+        const ServeJobClass& cls = classes[r.classIndex];
         Active a;
         a.request = req;
         a.classIndex = r.classIndex;
         a.g10family = g10FamilyTag(design_, &a.familyTag);
         leaseForAdmission(a);
         CompileOutcome oc;
-        a.design = makeServeInstance(design_, traces_[r.classIndex],
+        a.design = makeServeInstance(design_, traces[r.classIndex],
                                      cls, spec_.scaleDown,
                                      a.lease.sys, &planCache,
                                      planCache_, &oc);
@@ -572,7 +638,7 @@ ServeSim::run()
         rc.uvmExtension = a.design.uvmExtension;
         rc.seed = spec_.seed + req;
         rc.startNs = when;
-        a.rt = std::make_unique<SimRuntime>(traces_[r.classIndex],
+        a.rt = std::make_unique<SimRuntime>(traces[r.classIndex],
                                             *a.design.policy, rc,
                                             machine.shared());
         if (tp) {
@@ -600,34 +666,28 @@ ServeSim::run()
     };
 
     // Open-loop arrival injection: the whole offered sequence is
-    // known up front, so it goes into the event queue as one bulk
-    // batch (EventQueue::scheduleBatch's O(n) heap build).
-    EventQueue arrivals;
-    std::vector<std::size_t> arrivedNow;
-    {
-        std::vector<EventQueue::TimedCallback> batch;
-        batch.reserve(requests_.size());
-        for (std::size_t i = 0; i < requests_.size(); ++i)
-            batch.push_back({requests_[i].arrivalNs,
-                             [&arrivedNow, i] {
-                                 arrivedNow.push_back(i);
-                             }});
-        arrivals.scheduleBatch(std::move(batch));
-    }
+    // known up front and time-ordered, so a cursor walks it in
+    // request order and hands out each same-time batch in turn.
+    std::size_t nextArrival = 0;
 
     // Main interleaving loop: either the next arrival is due before
     // any active job's clock (process arrivals/admissions), or the
     // machine replays one kernel of the active job furthest behind in
     // time — the interleave MultiTenantSim drives, with jobs attached
     // at admission and detached at departure.
-    while (!arrivals.empty() || !queue.empty() || !active.empty()) {
-        const TimeNs nextArr = arrivals.nextTime();
+    while (nextArrival < requests_.size() || !queue.empty() ||
+           !active.empty()) {
+        const TimeNs nextArr = nextArrival < requests_.size()
+                                   ? requests_[nextArrival].arrivalNs
+                                   : Machine::kIdle;
         if (nextArr <= machine.nextClock()) {
-            if (arrivals.empty())
+            if (nextArrival == requests_.size())
                 panic("serve loop stalled: queued jobs but no "
                       "arrivals and no active jobs");
-            arrivals.runUntil(nextArr);
-            for (std::size_t req : arrivedNow) {
+            for (; nextArrival < requests_.size() &&
+                   requests_[nextArrival].arrivalNs == nextArr;
+                 ++nextArrival) {
+                const std::size_t req = nextArrival;
                 const ServeRequest& r = requests_[req];
                 // Free capacity admits immediately — simultaneous
                 // arrivals must not be shed off a full queue while
@@ -639,8 +699,8 @@ ServeSim::run()
                 QueuedJob qj;
                 qj.request = req;
                 qj.arrivalNs = r.arrivalNs;
-                qj.serviceEstNs = serviceEst[r.classIndex];
-                qj.priority = classes_[r.classIndex].priority;
+                qj.serviceEstNs = work_.serviceEstNs[r.classIndex];
+                qj.priority = classes[r.classIndex].priority;
                 if (queue.offer(qj))
                     continue;
                 // Queue full. OnDemand's overload escape valve: split
@@ -676,11 +736,10 @@ ServeSim::run()
                     out.jobs[req].rejected = true;  // load shed
                     if (tp)
                         tp->rejection(static_cast<int>(req),
-                                      classes_[r.classIndex].name,
+                                      classes[r.classIndex].name,
                                       r.arrivalNs);
                 }
             }
-            arrivedNow.clear();
             if (tp)
                 tp->queueDepth(queue.size(), nextArr);
             drainQueue(nextArr);
@@ -716,7 +775,7 @@ ServeSim::run()
                 sloMet = static_cast<double>(o.latencyNs()) <= limit;
             }
             tp->departure(static_cast<int>(a.request),
-                          classes_[a.classIndex].name,
+                          classes[a.classIndex].name,
                           requests_[a.request].arrivalNs, a.rt->now(),
                           st.failed, sloLimit, sloMet);
         }
@@ -798,67 +857,35 @@ ServeSim::run()
 // ServeSweep: the designs × rates grid
 // ---------------------------------------------------------------------
 
-ServeSweep::ServeSweep(const ServeSpec& spec) : spec_(spec)
+namespace {
+
+/** @p spec after the sweep-level checks (fatal on failure). */
+const ServeSpec&
+checkedSweepSpec(const ServeSpec& spec)
 {
-    if (spec_.designs.empty())
+    if (spec.designs.empty())
         fatal("serve sweep needs at least one design");
-    if (spec_.rates.empty() && !spec_.ratesAuto)
+    if (spec.rates.empty() && !spec.ratesAuto)
         fatal("serve sweep needs at least one arrival rate (or "
               "rates = auto)");
-    if (spec_.slots < 1)
+    if (spec.slots < 1)
         fatal("serve sweep needs slots >= 1");
-    if (spec_.resolvedMaxActive() < spec_.slots)
+    if (spec.resolvedMaxActive() < spec.slots)
         fatal("serve sweep needs max_active >= slots");
-    for (const std::string& d : spec_.designs)
+    for (const std::string& d : spec.designs)
         PolicyRegistry::instance().resolve(d);  // fatal on unknown
+    return spec;
+}
 
+}  // namespace
+
+ServeSweep::ServeSweep(const ServeSpec& spec)
+    : spec_(checkedSweepSpec(spec)), workload_(spec_)
+{
     if (spec_.sweepPlanCache) {
         ownedPlanCache_ = std::make_unique<SweepPlanCache>();
         planCache_ = ownedPlanCache_.get();
     }
-
-    if (spec_.arrival.kind == ArrivalKind::Trace) {
-        // Job classes are derived from the trace: one per distinct
-        // (model, batch, iterations, priority) request shape.
-        for (const TraceRequest& tr :
-             parseArrivalTrace(spec_.arrival.tracePath)) {
-            ServeJobClass shape;
-            shape.model = tr.model;
-            shape.batchSize = tr.batchSize;
-            shape.iterations = tr.iterations;
-            shape.priority = tr.priority;
-            shape = resolvedClass(shape);
-            std::size_t ci = 0;
-            while (ci < classes_.size() &&
-                   !(classes_[ci].model == shape.model &&
-                     classes_[ci].batchSize == shape.batchSize &&
-                     classes_[ci].iterations == shape.iterations &&
-                     classes_[ci].priority == shape.priority))
-                ++ci;
-            if (ci == classes_.size())
-                classes_.push_back(shape);
-            traced_.push_back({tr.arrivalNs, ci});
-        }
-    } else {
-        if (spec_.classes.empty())
-            fatal("serve sweep needs at least one job class");
-        for (const ServeJobClass& cls : spec_.classes)
-            classes_.push_back(resolvedClass(cls));
-    }
-
-    traces_.reserve(classes_.size());
-    for (const ServeJobClass& cls : classes_)
-        traces_.push_back(buildModelScaled(cls.model, cls.batchSize,
-                                           spec_.scaleDown));
-
-    // Per-class elastic capacity floors, once per sweep: the largest
-    // kernel working set (+12.5% headroom for in-flight transfers) —
-    // a lease below it is guaranteed to hit the hard-OOM path, so
-    // the elastic policies never shrink or grant under it.
-    const Bytes page = spec_.sys.scaledDown(spec_.scaleDown).pageBytes;
-    minGpu_.reserve(traces_.size());
-    for (const KernelTrace& t : traces_)
-        minGpu_.push_back(serveClassGpuFloor(t, page));
 }
 
 ServeSweep::~ServeSweep() = default;
@@ -877,58 +904,6 @@ ServeSweepResult::allSucceeded() const
         if (cell.metrics.failed > 0)
             return false;
     return true;
-}
-
-std::vector<std::vector<ServeClassBaseline>>
-ServeSweep::computeBaselines(ExperimentEngine& engine) const
-{
-    // Unloaded baselines: every (design, class) pair alone on one
-    // idle *static* partition slot — the latency reference the SLO
-    // and slowdown metrics are defined against, shared by every
-    // partition policy so elastic results stay comparable to static.
-    const SystemConfig scaled = spec_.sys.scaledDown(spec_.scaleDown);
-    const SystemConfig slotSys = partitionShare(
-        scaled, 1.0 / static_cast<double>(spec_.slots));
-
-    const std::size_t nd = spec_.designs.size();
-    const std::size_t nc = classes_.size();
-    std::vector<std::vector<ServeClassBaseline>> baselines(
-        nd, std::vector<ServeClassBaseline>(nc));
-    for (std::size_t c = 0; c < nc; ++c) {
-        // G10-family designs compile through the sweep cache: the
-        // slot-capacity plans built here share keys with every cell's
-        // first (cold, slot-sized) admission compile, so the knee
-        // probes start warm. Compile + sim fuse into one parallel
-        // task per design; sims are independent either way.
-        std::vector<DesignInstance> designs(nd);
-        engine.parallelFor(nd, [&](std::size_t d) {
-            int tag = 0;
-            if (planCache_ != nullptr &&
-                g10FamilyTag(spec_.designs[d], &tag)) {
-                std::shared_ptr<const CompiledPlan> plan =
-                    compilePlan(tag, traces_[c], classes_[c],
-                                spec_.scaleDown, slotSys, nullptr,
-                                planCache_);
-                designs[d].uvmExtension =
-                    tag == static_cast<int>(DesignPoint::G10);
-                designs[d].policy =
-                    makeFamilyPolicy(tag, std::move(plan));
-            } else {
-                designs[d] = PolicyRegistry::instance().make(
-                    spec_.designs[d], traces_[c], slotSys);
-            }
-            RunConfig rc;
-            rc.sys = slotSys;
-            rc.iterations = classes_[c].iterations;
-            rc.uvmExtension = designs[d].uvmExtension;
-            rc.seed = spec_.seed;
-            SimRuntime rt(traces_[c], *designs[d].policy, rc);
-            ExecStats st = rt.run();
-            baselines[d][c].unloadedNs = rt.now();
-            baselines[d][c].failed = st.failed;
-        });
-    }
-    return baselines;
 }
 
 void
@@ -953,9 +928,8 @@ ServeSweep::runAutoRates(ExperimentEngine& engine,
         ProbeResult pr;
         std::unique_ptr<Arena> arena = arenas.acquire();
         {
-            ServeSim sim(spec_, spec_.designs[d], rate, traces_,
-                         classes_, minGpu_,
-                         requestStream(spec_, classes_, rate, traced_),
+            ServeSim sim(spec_, spec_.designs[d], rate, workload_,
+                         requestStream(spec_, workload_, rate),
                          out->baselines[d]);
             sim.setObservers(
                 d == 0 && rate == rootRate ? obs.sink : nullptr,
@@ -996,10 +970,23 @@ ServeSweep::run(ExperimentEngine& engine, const ServeObsRequest& obs)
 {
     ServeSweepResult out;
     out.spec = spec_;
-    for (const ServeJobClass& cls : classes_)
+    for (const ServeJobClass& cls : workload_.classes)
         out.classNames.push_back(cls.name);
 
-    out.baselines = computeBaselines(engine);
+    // Unloaded baselines: every (design, class) pair alone on one idle
+    // static partition slot. G10-family compiles go through the sweep
+    // cache, so the cells' first slot-sized admissions start warm.
+    const std::size_t nd = spec_.designs.size();
+    const std::size_t nc = workload_.classes.size();
+    const SystemConfig slotSys =
+        partitionShare(spec_.sys.scaledDown(spec_.scaleDown),
+                       1.0 / static_cast<double>(spec_.slots));
+    out.baselines.assign(nd, std::vector<ServeClassBaseline>(nc));
+    engine.parallelFor(nd * nc, [&](std::size_t i) {
+        out.baselines[i / nc][i % nc] = unloadedBaseline(
+            spec_.designs[i / nc], workload_, i % nc, spec_.scaleDown,
+            slotSys, spec_.seed, planCache_);
+    });
 
     auto recordCacheTotals = [&] {
         if (planCache_ == nullptr)
@@ -1017,12 +1004,11 @@ ServeSweep::run(ExperimentEngine& engine, const ServeObsRequest& obs)
 
     // The offered sequences, one per rate (shared by every design:
     // cells of one rate differ only in the design under test).
-    const std::size_t nd = spec_.designs.size();
     const std::size_t nr = spec_.rates.size();
     std::vector<std::vector<ServeRequest>> requestsByRate(nr);
     for (std::size_t r = 0; r < nr; ++r)
         requestsByRate[r] =
-            requestStream(spec_, classes_, spec_.rates[r], traced_);
+            requestStream(spec_, workload_, spec_.rates[r]);
 
     // The grid: every design at every offered rate, design-major.
     // Per-cell registries (cells run on pool threads), merged in grid
@@ -1033,9 +1019,8 @@ ServeSweep::run(ExperimentEngine& engine, const ServeObsRequest& obs)
     engine.parallelFor(nd * nr, [&](std::size_t i) {
         const std::size_t d = i / nr;
         const std::size_t r = i % nr;
-        ServeSim sim(spec_, spec_.designs[d], spec_.rates[r], traces_,
-                     classes_, minGpu_, requestsByRate[r],
-                     out.baselines[d]);
+        ServeSim sim(spec_, spec_.designs[d], spec_.rates[r],
+                     workload_, requestsByRate[r], out.baselines[d]);
         sim.setObservers(i == 0 ? obs.sink : nullptr,
                          obs.collectCounters ? &regs[i] : nullptr);
         sim.setPlanCache(planCache_);

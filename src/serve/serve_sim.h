@@ -64,20 +64,6 @@ struct ServeRequest
 };
 
 /**
- * The offered request stream of @p scenario at @p rate. Poisson and
- * bursty arrivals draw their times from scenario.seed and their class
- * picks (weighted by ServeJobClass::weight) from their own engine
- * seeded seed + 1, so the class sequence is identical at every rate —
- * streams differ only in arrival spacing. Trace arrivals replay
- * @p traced (the trace at rate 1, classes resolved) with @p rate as a
- * speed multiplier.
- */
-std::vector<ServeRequest>
-requestStream(const ServeScenario& scenario,
-              const std::vector<ServeJobClass>& classes, double rate,
-              const std::vector<ServeRequest>& traced = {});
-
-/**
  * Length of one compiled plan's ideal timeline (kernel durations +
  * launch overhead) times @p iterations — the service-time estimate the
  * SJF admission key and the fleet router's backlog accounting use.
@@ -100,6 +86,40 @@ Bytes maxKernelWorkingSet(const KernelTrace& trace, Bytes page);
  * working-set footprint for plan-aware placement.
  */
 Bytes serveClassGpuFloor(const KernelTrace& trace, Bytes page);
+
+/**
+ * Everything a serving scenario's cells share, built once from the
+ * scenario and index-matched by class: the resolved classes (derived
+ * from the trace for ArrivalKind::Trace, one per distinct request
+ * shape), their scaled traces, capacity floors and plan service
+ * estimates, plus the trace replay at rate 1. Floors and estimates
+ * depend only on the page size and launch overhead, which scaling and
+ * fleet node platforms leave alone, so one workload serves every node
+ * of a fleet.
+ */
+struct ServeWorkload
+{
+    /** Fatal (exit 1) on a scenario with no classes or a bad trace. */
+    explicit ServeWorkload(const ServeScenario& scenario);
+
+    std::vector<ServeJobClass> classes;  ///< resolved
+    std::vector<KernelTrace> traces;     ///< per class, scaled
+    std::vector<Bytes> floors;           ///< serveClassGpuFloor
+    std::vector<TimeNs> serviceEstNs;    ///< planServiceEstimateNs
+    std::vector<ServeRequest> traced;    ///< ArrivalKind::Trace only
+};
+
+/**
+ * The offered request stream of @p scenario at @p rate. Poisson and
+ * bursty arrivals draw their times from scenario.seed and their class
+ * picks (weighted by ServeJobClass::weight) from their own engine
+ * seeded seed + 1, so the class sequence is identical at every rate —
+ * streams differ only in arrival spacing. Trace arrivals replay
+ * workload.traced with @p rate as a speed multiplier.
+ */
+std::vector<ServeRequest>
+requestStream(const ServeScenario& scenario,
+              const ServeWorkload& workload, double rate);
 
 /** Fate of one request inside a cell. */
 struct ServeJobOutcome
@@ -228,6 +248,22 @@ struct ServeClassBaseline
 };
 
 /**
+ * Class @p cls of @p workload run alone under @p design on one idle
+ * partition slot @p slotSys with per-job seed @p seed: the latency
+ * reference the SLO and slowdown metrics are defined against, shared
+ * by every partition policy so elastic results stay comparable to
+ * static. G10-family designs compile a cold plan through @p planCache
+ * (null = compile directly); its key is the one a cell's first
+ * slot-sized admission compiles, so the cells start warm.
+ */
+ServeClassBaseline unloadedBaseline(const std::string& design,
+                                    const ServeWorkload& workload,
+                                    std::size_t cls, unsigned scaleDown,
+                                    const SystemConfig& slotSys,
+                                    std::uint64_t seed,
+                                    SweepPlanCache* planCache);
+
+/**
  * Auto-knee probe-scheduler totals of one search (all zero without
  * one): probe executions issued, how many of those were speculative,
  * the speculative split into consumed vs mispredicted, and acquires
@@ -305,18 +341,16 @@ class ServeSim
      * @param spec      scenario (slots, queue, SLO, platform)
      * @param design    registry key of the design under test
      * @param rate      offered rate / trace multiplier of this cell
-     * @param traces    per-class traces (index-matched to classes)
-     * @param classes   job classes (resolved, including trace-derived)
-     * @param minGpu    per-class elastic capacity floors (largest
-     *                  kernel working set + headroom; ServeSweep
-     *                  computes them once per sweep)
-     * @param requests  the offered request sequence for this rate
+     * @param workload  the scenario's classes, traces, floors and
+     *                  service estimates (built once per sweep)
+     * @param requests  the offered request sequence for this rate,
+     *                  in non-decreasing arrival order (it panics
+     *                  otherwise); same-time arrivals are offered in
+     *                  request order
      * @param baselines per-class unloaded latencies for this design
      */
     ServeSim(const ServeSpec& spec, std::string design, double rate,
-             const std::vector<KernelTrace>& traces,
-             const std::vector<ServeJobClass>& classes,
-             const std::vector<Bytes>& minGpu,
+             const ServeWorkload& workload,
              std::vector<ServeRequest> requests,
              const std::vector<ServeClassBaseline>& baselines);
 
@@ -355,9 +389,7 @@ class ServeSim
     const ServeSpec& spec_;
     std::string design_;
     double rate_;
-    const std::vector<KernelTrace>& traces_;
-    const std::vector<ServeJobClass>& classes_;
-    const std::vector<Bytes>& minGpu_;
+    const ServeWorkload& work_;
     std::vector<ServeRequest> requests_;
     const std::vector<ServeClassBaseline>& baselines_;
     TraceSink* sink_ = nullptr;
@@ -405,25 +437,18 @@ class ServeSweep
      * Share an externally owned plan cache instead of this sweep's own
      * (pass null to disable caching outright, overriding the spec
      * toggle). Callers running several sweeps over the same spec
-     * family (benchmarks timing static vs elastic, the fleet's nodes)
-     * use this so later sweeps start warm.
+     * family (benchmarks timing static vs elastic) use this so later
+     * sweeps start warm.
      */
     void sharePlanCache(SweepPlanCache* cache);
 
   private:
     ServeSpec spec_;
-    std::vector<ServeJobClass> classes_;   ///< resolved classes
-    std::vector<KernelTrace> traces_;      ///< per-class, scaled
-    std::vector<Bytes> minGpu_;            ///< per-class floors
-    std::vector<ServeRequest> traced_;     ///< ArrivalKind::Trace only
+    ServeWorkload workload_;
 
     /** Sweep-scoped compile cache (spec.sweepPlanCache); null = off. */
     std::unique_ptr<SweepPlanCache> ownedPlanCache_;
     SweepPlanCache* planCache_ = nullptr;
-
-    /** Per-design unloaded baselines (the SLO reference). */
-    std::vector<std::vector<ServeClassBaseline>>
-    computeBaselines(ExperimentEngine& engine) const;
 
     /**
      * `rates = auto`: per design, grow the probe rate geometrically

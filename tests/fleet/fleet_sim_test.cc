@@ -60,18 +60,9 @@ TEST(FleetSim, SingleNodeFleetMatchesPlainServeSim)
         fleet.routed(PlacementKind::JoinShortestQueue);
     ASSERT_EQ(routed.perNode[0].size(), fleet.stream().size());
 
-    const SystemConfig scaled = spec.sys.scaledDown(spec.scaleDown);
-    std::vector<KernelTrace> traces;
-    std::vector<Bytes> floors;
-    for (const ServeJobClass& cls : fleet.classes())
-        traces.push_back(buildModelScaled(cls.model, cls.batchSize,
-                                          spec.scaleDown));
-    for (const KernelTrace& t : traces)
-        floors.push_back(serveClassGpuFloor(t, scaled.pageBytes));
-
+    const ServeWorkload workload(fleet.nodeServeSpec(0));
     ServeSim direct(fleet.nodeServeSpec(0), spec.design, spec.rate,
-                    traces, fleet.classes(), floors,
-                    routed.perNode[0], res.baselines[0]);
+                    workload, routed.perNode[0], res.baselines[0]);
     ServeCellResult cell = direct.run();
 
     EXPECT_EQ(cell.design, fleetCell.design);
@@ -109,6 +100,32 @@ TEST(FleetSim, SingleNodeFleetMatchesPlainServeSim)
     EXPECT_DOUBLE_EQ(fm.throughputRps, fm.capacityPerNodeRps);
     EXPECT_DOUBLE_EQ(fm.utilMin, fm.utilMax);
     EXPECT_DOUBLE_EQ(fm.utilJain, 1.0);
+}
+
+TEST(FleetSim, BaselinesMatchEachNodesServeSweep)
+{
+    // A node's SLO reference is exactly the unloaded baseline a serve
+    // sweep of that node's own spec computes: the node's seed and one
+    // idle slot of the node's platform.
+    FleetSpec spec = demoFleetSpec(64);
+    FleetSim fleet(spec);
+    ExperimentEngine engine(2);
+    FleetResult res = fleet.run(engine);
+    ASSERT_EQ(res.baselines.size(), spec.nodes.size());
+    for (std::size_t n = 0; n < spec.nodes.size(); ++n) {
+        ServeSweepResult node =
+            ServeSweep(fleet.nodeServeSpec(n)).run(engine);
+        ASSERT_EQ(node.baselines.size(), 1u);
+        ASSERT_EQ(res.baselines[n].size(), node.baselines[0].size());
+        for (std::size_t c = 0; c < res.baselines[n].size(); ++c) {
+            EXPECT_EQ(res.baselines[n][c].unloadedNs,
+                      node.baselines[0][c].unloadedNs)
+                << "node " << n << " class " << c;
+            EXPECT_EQ(res.baselines[n][c].failed,
+                      node.baselines[0][c].failed)
+                << "node " << n << " class " << c;
+        }
+    }
 }
 
 TEST(FleetSim, AffinityBeatsJsqOnWarmPlanCacheHits)

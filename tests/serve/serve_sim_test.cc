@@ -263,6 +263,65 @@ TEST(ServeSim, SimultaneousArrivalsFillIdleSlotsBeforeShedding)
     EXPECT_GT(res.cells[0].jobs[2].queueNs(), 0);
 }
 
+TEST(ServeSim, SameTimeArrivalsAreOfferedInRequestOrder)
+{
+    // Three requests share one arrival instant on a one-slot node
+    // with a one-deep FIFO queue: they are offered in request-index
+    // order, so request 0 takes the slot, request 1 waits for it, and
+    // the last one, request 2, is shed.
+    std::string path = ::testing::TempDir() + "g10_serve_tie_" +
+                       std::to_string(::getpid()) + ".arr";
+    {
+        std::ofstream f(path);
+        for (int i = 0; i < 3; ++i)
+            f << "req = 20 ResNet152 batch=256\n";
+    }
+
+    ServeSpec spec;
+    spec.scaleDown = 64;
+    spec.slots = 1;
+    spec.queueCapacity = 1;
+    spec.admit = AdmitPolicy::Fifo;
+    spec.designs = {"g10"};
+    spec.rates = {1.0};
+    spec.arrival.kind = ArrivalKind::Trace;
+    spec.arrival.tracePath = path;
+
+    ServeSweep sweep(spec);
+    ExperimentEngine engine(1);
+    ServeSweepResult res = sweep.run(engine);
+    std::remove(path.c_str());
+
+    ASSERT_EQ(res.cells.size(), 1u);
+    const std::vector<ServeJobOutcome>& jobs = res.cells[0].jobs;
+    ASSERT_EQ(jobs.size(), 3u);
+    for (const ServeJobOutcome& o : jobs)
+        EXPECT_EQ(o.arrivalNs, 20 * MSEC);
+
+    EXPECT_FALSE(jobs[0].rejected);
+    EXPECT_EQ(jobs[0].admitNs, jobs[0].arrivalNs);
+
+    EXPECT_FALSE(jobs[1].rejected);
+    EXPECT_GT(jobs[1].queueNs(), 0);
+    EXPECT_GE(jobs[1].admitNs, jobs[0].finishNs);
+
+    EXPECT_TRUE(jobs[2].rejected);
+    EXPECT_EQ(res.cells[0].metrics.rejected, 1u);
+}
+
+TEST(ServeSimDeath, RequestsOutOfArrivalOrderPanic)
+{
+    const ServeSpec spec = tinySpec();
+    const ServeWorkload workload(spec);
+    const std::vector<ServeClassBaseline> baselines(
+        workload.classes.size());
+    const std::vector<ServeRequest> reversed = {{10 * MSEC, 0},
+                                                {5 * MSEC, 0}};
+    EXPECT_DEATH(ServeSim(spec, "g10", 1.0, workload, reversed,
+                          baselines),
+                 "request 1 arrives before request 0");
+}
+
 TEST(ServeSim, PriorityAdmissionStillServesEveryone)
 {
     ServeSpec spec = tinySpec();
