@@ -2,13 +2,17 @@
  * @file
  * google-benchmark microbenchmarks for the hot paths of the compile
  * pipeline and the simulator: StepFunction range math, vitality
- * analysis, Algorithm 1 scheduling, and full simulation replay.
+ * analysis, Algorithm 1 scheduling, the SSD FTL's write path, and full
+ * simulation replay.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "api/g10.h"
 #include "core/g10_compiler.h"
+#include "sim/ssd/ssd_device.h"
 
 namespace {
 
@@ -102,6 +106,38 @@ BM_CompileG10Plan(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CompileG10Plan);
+
+void
+BM_SsdServiceWrite(benchmark::State& state)
+{
+    // The driver path (FlashNeuron): one 256 MiB region rewritten in
+    // nonUvmCopyBytes batches on the paper's device. Each pass appends
+    // to the log and invalidates the previous copy of every page. The
+    // device is rebuilt, untimed, well before the log nears the GC
+    // threshold, so this times the append path alone.
+    const SystemConfig sys;
+    const Bytes region = 256 * MiB;
+    const Bytes batch = sys.nonUvmCopyBytes;
+    const Bytes page = SsdDevice::Geometry().flashPageBytes;
+    std::optional<SsdDevice> ssd;
+    std::uint64_t lp = 0;
+    std::int64_t passes = 0;
+    for (auto _ : state) {
+        if (passes++ % 1024 == 0) {
+            state.PauseTiming();
+            ssd.emplace(sys);
+            lp = ssd->allocLogical(region);
+            state.ResumeTiming();
+        }
+        TimeNs busy = 0;
+        for (Bytes off = 0; off < region; off += batch)
+            busy += ssd->serviceWrite(lp + off / page, batch);
+        benchmark::DoNotOptimize(busy);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(region));
+}
+BENCHMARK(BM_SsdServiceWrite);
 
 void
 BM_SimulateG10(benchmark::State& state)

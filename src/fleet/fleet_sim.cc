@@ -190,17 +190,22 @@ FleetSim::run(ExperimentEngine& engine, const FleetObsRequest& obs)
     // partition slot *of that node*, with the node's seed —
     // heterogeneous nodes have heterogeneous unloaded latencies, and
     // a node's attainment is judged against what it could do unloaded.
-    const std::size_t nc = workload_.classes.size();
-    out.baselines.assign(spec_.nodes.size(),
-                         std::vector<ServeClassBaseline>(nc));
-    engine.parallelFor(spec_.nodes.size() * nc, [&](std::size_t i) {
-        const ServeSpec& ns = nodeSpecs_[i / nc];
-        out.baselines[i / nc][i % nc] = unloadedBaseline(
-            spec_.design, workload_, i % nc, ns.scaleDown,
-            partitionShare(ns.sys.scaledDown(ns.scaleDown),
-                           1.0 / static_cast<double>(ns.slots)),
-            ns.seed, planCache_.get());
-    });
+    // They depend on the spec alone, so the first run() computes them
+    // for every later one.
+    if (baselines_.empty()) {
+        const std::size_t nc = workload_.classes.size();
+        baselines_.assign(spec_.nodes.size(),
+                          std::vector<ServeClassBaseline>(nc));
+        engine.parallelFor(spec_.nodes.size() * nc, [&](std::size_t i) {
+            const ServeSpec& ns = nodeSpecs_[i / nc];
+            baselines_[i / nc][i % nc] = unloadedBaseline(
+                spec_.design, workload_, i % nc, ns.scaleDown,
+                partitionShare(ns.sys.scaledDown(ns.scaleDown),
+                               1.0 / static_cast<double>(ns.slots)),
+                ns.seed, planCache_.get());
+        });
+    }
+    out.baselines = baselines_;
 
     if (spec_.ratesAuto) {
         runKnee(engine, obs, &out);

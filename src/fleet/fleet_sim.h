@@ -211,6 +211,11 @@ class FleetSim
      *  the node's system config, so heterogeneous nodes coexist). */
     std::unique_ptr<SweepPlanCache> planCache_;
 
+    /** Per node, per class unloaded baselines; computed by the first
+     *  run() (they depend on the spec alone) and reused by every later
+     *  one. */
+    std::vector<std::vector<ServeClassBaseline>> baselines_;
+
     /** Aggregate one placement's node cells into fleet metrics.
      *  @p firstArrival anchors the makespan: the shared stream's
      *  first arrival in fixed-rate mode, the knee probe's in auto

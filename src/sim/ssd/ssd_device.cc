@@ -16,80 +16,136 @@ SsdDevice::SsdDevice(const SystemConfig& config, Geometry geometry)
         (1.0 + geom_.overProvision));
     totalPages_ = physical / geom_.flashPageBytes;
     freePages_ = totalPages_;
+    gcThreshold_ = static_cast<std::uint64_t>(
+        static_cast<double>(totalPages_) * geom_.gcFreeThreshold);
     std::uint64_t blocks =
         std::max<std::uint64_t>(1, totalPages_ / geom_.pagesPerBlock);
+    if (blocks >= kUnmapped)
+        fatal("bad SSD geometry: %llu blocks overflow the block map",
+              static_cast<unsigned long long>(blocks));
     blockValid_.assign(blocks, 0);
     blockFill_.assign(blocks, 0);
     openBlock_ = 0;
 }
 
 std::uint64_t
+SsdDevice::pagesFor(Bytes bytes) const
+{
+    return (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
+}
+
+std::uint64_t
 SsdDevice::allocLogical(Bytes bytes)
 {
-    std::uint64_t pages =
-        (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
     std::uint64_t first = nextLogical_;
-    nextLogical_ += pages;
+    nextLogical_ += pagesFor(bytes);
     return first;
 }
 
 void
 SsdDevice::freeLogical(std::uint64_t logical_page, Bytes bytes)
 {
-    std::uint64_t pages =
-        (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        auto it = logicalToBlock_.find(logical_page + i);
-        if (it == logicalToBlock_.end())
-            continue;  // never written (or already trimmed)
-        if (blockValid_[it->second] > 0)
-            --blockValid_[it->second];
-        logicalToBlock_.erase(it);
+    const std::uint64_t end =
+        std::min<std::uint64_t>(logical_page + pagesFor(bytes),
+                                map_.size() * kMapChunkPages);
+    for (std::uint64_t lp = logical_page; lp < end;) {
+        MapChunk& chunk = map_[lp / kMapChunkPages];
+        const std::uint64_t stop = std::min(
+            end, (lp / kMapChunkPages + 1) * kMapChunkPages);
+        if (chunk.live == 0) {
+            lp = stop;  // never written (or already trimmed)
+            continue;
+        }
+        for (; lp < stop; ++lp) {
+            std::uint32_t& entry = chunk.block[lp % kMapChunkPages];
+            if (entry == kUnmapped)
+                continue;
+            if (blockValid_[entry] > 0)
+                --blockValid_[entry];
+            entry = kUnmapped;
+            --chunk.live;
+            --validPages_;
+        }
+        if (chunk.live == 0)
+            std::vector<std::uint32_t>().swap(chunk.block);
+    }
+}
+
+void
+SsdDevice::remap(std::uint64_t first, std::uint64_t count,
+                 std::uint32_t block)
+{
+    const std::uint64_t end = first + count;
+    if (map_.size() * kMapChunkPages < end)
+        map_.resize((end + kMapChunkPages - 1) / kMapChunkPages);
+    for (std::uint64_t lp = first; lp < end;) {
+        MapChunk& chunk = map_[lp / kMapChunkPages];
+        if (chunk.block.empty())
+            chunk.block.assign(kMapChunkPages, kUnmapped);
+        const std::uint64_t stop = std::min(
+            end, (lp / kMapChunkPages + 1) * kMapChunkPages);
+        for (; lp < stop; ++lp) {
+            std::uint32_t& entry = chunk.block[lp % kMapChunkPages];
+            if (entry == kUnmapped) {
+                ++chunk.live;
+                ++validPages_;
+            } else if (blockValid_[entry] > 0) {
+                // Invalidate the previous physical copy. The page stays
+                // unusable until its block is garbage-collected and
+                // erased.
+                --blockValid_[entry];
+            }
+            entry = block;
+        }
     }
 }
 
 TimeNs
 SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
 {
-    std::uint64_t pages =
-        (bytes + geom_.flashPageBytes - 1) / geom_.flashPageBytes;
+    std::uint64_t pages = pagesFor(bytes);
     stats_.hostWriteBytes += bytes;
     stats_.nandWriteBytes += pages * geom_.flashPageBytes;
 
     TimeNs busy = config_.ssdWriteLatencyNs +
                   transferTimeNs(bytes, config_.ssdWriteGBps);
 
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        std::uint64_t lp = logical_page + i;
-        // Invalidate the previous physical copy, if any. The page stays
-        // unusable until its block is garbage-collected and erased.
-        auto it = logicalToBlock_.find(lp);
-        if (it != logicalToBlock_.end()) {
-            if (blockValid_[it->second] > 0)
-                --blockValid_[it->second];
-        }
+    const std::uint32_t ppb = geom_.pagesPerBlock;
+    while (pages > 0) {
         // Append to the open block, advancing to the next erased block
         // when it fills.
-        if (blockFill_[openBlock_] == geom_.pagesPerBlock) {
+        if (blockFill_[openBlock_] == ppb) {
             std::uint32_t next = openBlock_;
             for (std::size_t probe = 0; probe < blockFill_.size();
                  ++probe) {
                 next = (next + 1) %
                        static_cast<std::uint32_t>(blockFill_.size());
-                if (blockFill_[next] < geom_.pagesPerBlock)
+                if (blockFill_[next] < ppb)
                     break;
             }
             openBlock_ = next;
         }
-        if (blockFill_[openBlock_] >= geom_.pagesPerBlock)
+        if (blockFill_[openBlock_] >= ppb)
             fatal("SSD is full: %llu valid pages exceed capacity",
                   static_cast<unsigned long long>(totalPages_));
-        ++blockValid_[openBlock_];
-        ++blockFill_[openBlock_];
-        logicalToBlock_[lp] = openBlock_;
-        if (freePages_ > 0)
-            --freePages_;
-        maybeGarbageCollect(&busy);
+        // Append a span of pages at once: up to the end of the open
+        // block, and ending on the page that drops the free count below
+        // the GC threshold, so GC runs before the next page's old copy
+        // is invalidated, exactly as a page-at-a-time append would.
+        std::uint64_t span =
+            std::min<std::uint64_t>(pages, ppb - blockFill_[openBlock_]);
+        if (freePages_ < gcThreshold_)
+            span = 1;
+        else if (gcThreshold_ > 0)
+            span = std::min(span, freePages_ - gcThreshold_ + 1);
+        remap(logical_page, span, openBlock_);
+        blockValid_[openBlock_] += static_cast<std::uint32_t>(span);
+        blockFill_[openBlock_] += static_cast<std::uint32_t>(span);
+        freePages_ -= std::min(freePages_, span);
+        if (freePages_ < gcThreshold_)
+            garbageCollect(&busy);
+        logical_page += span;
+        pages -= span;
     }
     return busy;
 }
@@ -103,17 +159,12 @@ SsdDevice::serviceRead(Bytes bytes)
 }
 
 void
-SsdDevice::maybeGarbageCollect(TimeNs* busy)
+SsdDevice::garbageCollect(TimeNs* busy)
 {
-    std::uint64_t threshold = static_cast<std::uint64_t>(
-        static_cast<double>(totalPages_) * geom_.gcFreeThreshold);
-    if (freePages_ >= threshold)
-        return;
-
     ++stats_.gcRuns;
     // Greedy: relocate the fullest-of-invalid (fewest valid pages)
     // *programmed* block until comfortably above the threshold.
-    while (freePages_ < threshold * 2) {
+    while (freePages_ < gcThreshold_ * 2) {
         std::uint32_t victim = 0;
         std::uint32_t best_valid = geom_.pagesPerBlock + 1;
         for (std::uint32_t b = 0;

@@ -9,13 +9,20 @@
  * emptiest block and erases it, charging both time (device busy) and
  * endurance (NAND writes, erases). This is what makes the §7.7 lifetime /
  * write-amplification analysis measurable instead of assumed.
+ *
+ * The logical-to-physical map is paged: logical pages are grouped into
+ * fixed chunks of kMapChunkPages block ids, and a chunk exists only
+ * while at least one of its pages is mapped. Serving and fleet nodes
+ * allocate fresh logical runs for every job and never reuse them, so
+ * the logical space grows without bound while the live set stays
+ * small; map memory is bounded by the live pages rounded up to whole
+ * chunks, not by the highest logical page ever allocated.
  */
 
 #ifndef G10_SIM_SSD_SSD_DEVICE_H
 #define G10_SIM_SSD_SSD_DEVICE_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/system_config.h"
@@ -89,7 +96,7 @@ class SsdDevice
     void freeLogical(std::uint64_t logical_page, Bytes bytes);
 
     /** Logical pages currently holding valid (mapped) data. */
-    std::uint64_t validPages() const { return logicalToBlock_.size(); }
+    std::uint64_t validPages() const { return validPages_; }
 
     const SsdStats& stats() const { return stats_; }
     const Geometry& geometry() const { return geom_; }
@@ -111,8 +118,32 @@ class SsdDevice
     double lifetimeYears(double dwpd, double rated_years,
                          TimeNs elapsed_ns) const;
 
+    /** Logical pages per map chunk: one chunk holds this many block
+     *  ids (16 KiB) and is allocated on the first write into its range. */
+    static constexpr std::uint64_t kMapChunkPages = 4096;
+
   private:
-    void maybeGarbageCollect(TimeNs* busy);
+    /** Map entry of a logical page that holds no valid data. */
+    static constexpr std::uint32_t kUnmapped = 0xffffffffu;
+
+    /** kMapChunkPages block ids (kUnmapped where not mapped), or empty
+     *  while none of the chunk's pages is mapped. */
+    struct MapChunk
+    {
+        std::vector<std::uint32_t> block;
+        std::uint32_t live = 0;  ///< mapped entries in block
+    };
+
+    /** Flash pages covering @p bytes. */
+    std::uint64_t pagesFor(Bytes bytes) const;
+
+    /** Map logical pages [@p first, +@p count) to @p block, invalidating
+     *  their previous copies; allocates chunks on first write. */
+    void remap(std::uint64_t first, std::uint64_t count,
+               std::uint32_t block);
+
+    /** Greedy GC; only called while freePages_ < gcThreshold_. */
+    void garbageCollect(TimeNs* busy);
 
     SystemConfig config_;
     Geometry geom_;
@@ -120,9 +151,13 @@ class SsdDevice
     std::uint64_t totalPages_ = 0;
     std::uint64_t freePages_ = 0;
     std::uint64_t nextLogical_ = 0;
+    /** GC runs once free pages drop below this many. */
+    std::uint64_t gcThreshold_ = 0;
 
-    // logical page -> block index currently holding it (valid data).
-    std::unordered_map<std::uint64_t, std::uint32_t> logicalToBlock_;
+    // logical page -> block currently holding it (valid data), paged by
+    // logical page / kMapChunkPages.
+    std::vector<MapChunk> map_;
+    std::uint64_t validPages_ = 0;  ///< mapped entries over all chunks
     // per-block count of valid pages.
     std::vector<std::uint32_t> blockValid_;
     // per-block count of programmed pages since the last erase.

@@ -1,6 +1,7 @@
-/** @file Fleet-simulator tests: bit-identity across pool sizes, the
- *  single-node golden against a directly-constructed ServeSim cell,
- *  the affinity warm-hit win over JSQ, and fleet metric invariants. */
+/** @file Fleet-simulator tests: bit-identity across pool sizes and
+ *  repeated runs, the single-node golden against a directly-constructed
+ *  ServeSim cell, the affinity warm-hit win over JSQ, and fleet metric
+ *  invariants. */
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,19 @@ TEST(FleetSim, ResultIsBitIdenticalAcrossPoolSizes)
     // every per-node cell, every job outcome that feeds them — must
     // match byte for byte.
     EXPECT_EQ(toJson(a), toJson(b));
+}
+
+TEST(FleetSim, RepeatedRunsReuseBaselinesAndMatch)
+{
+    // The second run() reuses the baselines the first one computed;
+    // both documents, and a fresh FleetSim's, must match byte for byte.
+    FleetSpec spec = demoFleetSpec(64);
+    ExperimentEngine engine(2);
+    FleetSim sim(spec);
+    const std::string first = toJson(sim.run(engine));
+    const std::string second = toJson(sim.run(engine));
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(first, toJson(FleetSim(spec).run(engine)));
 }
 
 TEST(FleetSim, SingleNodeFleetMatchesPlainServeSim)
