@@ -6,6 +6,19 @@
 
 namespace g10 {
 
+namespace {
+
+/** Chunk buffers released on this thread, for the next chunk any device
+ *  allocates on it (see SsdDevice::kMaxSpareChunks). */
+std::vector<std::vector<std::uint32_t>>&
+spareChunks()
+{
+    thread_local std::vector<std::vector<std::uint32_t>> spare;
+    return spare;
+}
+
+}  // namespace
+
 SsdDevice::SsdDevice(const SystemConfig& config, Geometry geometry)
     : config_(config), geom_(geometry)
 {
@@ -23,9 +36,61 @@ SsdDevice::SsdDevice(const SystemConfig& config, Geometry geometry)
     if (blocks >= kUnmapped)
         fatal("bad SSD geometry: %llu blocks overflow the block map",
               static_cast<unsigned long long>(blocks));
-    blockValid_.assign(blocks, 0);
-    blockFill_.assign(blocks, 0);
+    blockCount_ = static_cast<std::uint32_t>(blocks);
+    blockValid_.assign(1, 0);
+    blockFill_.assign(1, 0);
     openBlock_ = 0;
+}
+
+SsdDevice::~SsdDevice()
+{
+    for (MapChunk& chunk : map_)
+        if (!chunk.block.empty())
+            releaseChunk(&chunk);
+}
+
+void
+SsdDevice::takeChunk(MapChunk* chunk)
+{
+    std::vector<std::vector<std::uint32_t>>& spare = spareChunks();
+    if (!spare.empty()) {
+        chunk->block.swap(spare.back());
+        spare.pop_back();
+    }
+    chunk->block.assign(kMapChunkPages, kUnmapped);
+}
+
+void
+SsdDevice::releaseChunk(MapChunk* chunk)
+{
+    std::vector<std::vector<std::uint32_t>>& spare = spareChunks();
+    if (spare.size() < kMaxSpareChunks) {
+        spare.emplace_back();
+        spare.back().swap(chunk->block);
+    } else {
+        std::vector<std::uint32_t>().swap(chunk->block);
+    }
+    chunk->live = 0;
+}
+
+std::uint32_t
+SsdDevice::nextErasedBlock()
+{
+    const std::uint32_t ppb = geom_.pagesPerBlock;
+    const auto opened = static_cast<std::uint32_t>(blockFill_.size());
+    for (std::uint32_t b = openBlock_ + 1; b < opened; ++b)
+        if (blockFill_[b] < ppb)
+            return b;
+    if (opened < blockCount_) {
+        // The first block the log has not reached yet: still erased.
+        blockValid_.push_back(0);
+        blockFill_.push_back(0);
+        return opened;
+    }
+    for (std::uint32_t b = 0; b < openBlock_; ++b)
+        if (blockFill_[b] < ppb)
+            return b;
+    return openBlock_;
 }
 
 std::uint64_t
@@ -67,7 +132,7 @@ SsdDevice::freeLogical(std::uint64_t logical_page, Bytes bytes)
             --validPages_;
         }
         if (chunk.live == 0)
-            std::vector<std::uint32_t>().swap(chunk.block);
+            releaseChunk(&chunk);
     }
 }
 
@@ -81,7 +146,7 @@ SsdDevice::remap(std::uint64_t first, std::uint64_t count,
     for (std::uint64_t lp = first; lp < end;) {
         MapChunk& chunk = map_[lp / kMapChunkPages];
         if (chunk.block.empty())
-            chunk.block.assign(kMapChunkPages, kUnmapped);
+            takeChunk(&chunk);
         const std::uint64_t stop = std::min(
             end, (lp / kMapChunkPages + 1) * kMapChunkPages);
         for (; lp < stop; ++lp) {
@@ -114,17 +179,8 @@ SsdDevice::serviceWrite(std::uint64_t logical_page, Bytes bytes)
     while (pages > 0) {
         // Append to the open block, advancing to the next erased block
         // when it fills.
-        if (blockFill_[openBlock_] == ppb) {
-            std::uint32_t next = openBlock_;
-            for (std::size_t probe = 0; probe < blockFill_.size();
-                 ++probe) {
-                next = (next + 1) %
-                       static_cast<std::uint32_t>(blockFill_.size());
-                if (blockFill_[next] < ppb)
-                    break;
-            }
-            openBlock_ = next;
-        }
+        if (blockFill_[openBlock_] == ppb)
+            openBlock_ = nextErasedBlock();
         if (blockFill_[openBlock_] >= ppb)
             fatal("SSD is full: %llu valid pages exceed capacity",
                   static_cast<unsigned long long>(totalPages_));

@@ -16,12 +16,23 @@
  * allocate fresh logical runs for every job and never reuse them, so
  * the logical space grows without bound while the live set stays
  * small; map memory is bounded by the live pages rounded up to whole
- * chunks, not by the highest logical page ever allocated.
+ * chunks, not by the highest logical page ever allocated. A released
+ * chunk's buffer goes to a spare list of its thread (at most
+ * kMaxSpareChunks), and the next chunk any device allocates on that
+ * thread reuses it: the devices built one after another for the
+ * designs of a zoo row, and a node's later jobs after earlier ones were
+ * trimmed, map into memory that is already resident instead of
+ * faulting in fresh pages.
+ *
+ * The per-block counters likewise cover only the blocks the log has
+ * reached: the log opens erased blocks in index order, so every block
+ * past the highest one opened is erased and needs no entry.
  */
 
 #ifndef G10_SIM_SSD_SSD_DEVICE_H
 #define G10_SIM_SSD_SSD_DEVICE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -73,6 +84,13 @@ class SsdDevice
 
     SsdDevice(const SystemConfig& config, Geometry geometry);
 
+    /** Returns the map's chunks to this thread's spare list. */
+    ~SsdDevice();
+    SsdDevice(const SsdDevice&) = default;
+    SsdDevice& operator=(const SsdDevice&) = default;
+    SsdDevice(SsdDevice&&) = default;
+    SsdDevice& operator=(SsdDevice&&) = default;
+
     /**
      * Write @p bytes at logical address space of tensor @p tensor chunk
      * region starting at @p logical_page. Returns device busy time
@@ -122,6 +140,9 @@ class SsdDevice
      *  ids (16 KiB) and is allocated on the first write into its range. */
     static constexpr std::uint64_t kMapChunkPages = 4096;
 
+    /** Released chunk buffers a thread keeps for reuse (16 MiB). */
+    static constexpr std::size_t kMaxSpareChunks = 1024;
+
   private:
     /** Map entry of a logical page that holds no valid data. */
     static constexpr std::uint32_t kUnmapped = 0xffffffffu;
@@ -142,6 +163,18 @@ class SsdDevice
     void remap(std::uint64_t first, std::uint64_t count,
                std::uint32_t block);
 
+    /** Give @p chunk kMapChunkPages unmapped entries, reusing a spare
+     *  buffer when this thread has one. */
+    static void takeChunk(MapChunk* chunk);
+
+    /** Hand @p chunk's buffer to this thread's spare list (or free it
+     *  when the list is full); the chunk is left empty. */
+    static void releaseChunk(MapChunk* chunk);
+
+    /** The erased block the log appends to after the open one fills:
+     *  the next in index order, wrapping; openBlock_ when none is. */
+    std::uint32_t nextErasedBlock();
+
     /** Greedy GC; only called while freePages_ < gcThreshold_. */
     void garbageCollect(TimeNs* busy);
 
@@ -158,6 +191,10 @@ class SsdDevice
     // logical page / kMapChunkPages.
     std::vector<MapChunk> map_;
     std::uint64_t validPages_ = 0;  ///< mapped entries over all chunks
+    /** Physical blocks. The per-block counters below cover blocks
+     *  [0, blockValid_.size()), the prefix the log has opened; the rest
+     *  are erased. */
+    std::uint32_t blockCount_ = 0;
     // per-block count of valid pages.
     std::vector<std::uint32_t> blockValid_;
     // per-block count of programmed pages since the last erase.

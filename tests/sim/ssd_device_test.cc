@@ -528,5 +528,39 @@ TEST(SsdDevice, MatchesHashMapReferenceNearlyFull)
     EXPECT_GT(dev.stats().relocatedPages, 0u);
 }
 
+TEST(SsdDevice, DeviceAfterAnotherMatchesReference)
+{
+    // The first device dies with pages mapped in two chunks, so their
+    // buffers go to the thread's spare list still holding block ids;
+    // the second maps into them and must behave as a fresh device.
+    const SystemConfig sys = smallSsdSys();
+    SsdDevice::Geometry geom;
+    geom.flashPageBytes = 4 * KiB;
+    const Bytes page = geom.flashPageBytes;
+    const std::uint64_t chunk = SsdDevice::kMapChunkPages;
+    {
+        SsdDevice first(sys, geom);
+        const std::uint64_t lp = first.allocLogical(2 * chunk * page);
+        first.serviceWrite(lp + 10, 20 * page);
+        first.serviceWrite(lp + chunk + 5, 30 * page);
+        ASSERT_EQ(first.validPages(), 50u);
+    }
+    SsdDevice dev(sys, geom);
+    ReferenceFtl ref(sys, geom);
+    const std::uint64_t lp = dev.allocLogical(2 * chunk * page);
+    ASSERT_EQ(lp, ref.allocLogical(2 * chunk * page));
+    int op = 0;
+    for (std::uint64_t at : {std::uint64_t{0}, std::uint64_t{15},
+                             std::uint64_t{5}, chunk - 4, chunk + 20}) {
+        ASSERT_EQ(dev.serviceWrite(lp + at, 12 * page),
+                  ref.serviceWrite(lp + at, 12 * page));
+        expectSame(dev, ref, op++);
+    }
+    dev.freeLogical(lp, 2 * chunk * page);
+    ref.freeLogical(lp, 2 * chunk * page);
+    expectSame(dev, ref, op);
+    EXPECT_EQ(dev.validPages(), 0u);
+}
+
 }  // namespace
 }  // namespace g10
